@@ -24,14 +24,14 @@ register and only reaches the GPR when the thread resumes (footnote 3 of
 the paper).
 
 Two implementations compute the same facts: the reference set-based
-worklist below, and the bitset kernel in :mod:`repro.core.dense`
-(``live_in``/``live_out`` as big-int masks, frozensets materialized only
-at this API boundary).  :func:`compute_liveness` is the single switch
-point -- it consults the process-wide implementation registry
-(``REPRO_ANALYSIS`` / ``--analysis-impl``) and the dense variant attaches
-its mask payload as ``Liveness._dense``, which downstream passes key off
-so one analysis never mixes implementations.  Results are bit-identical
-either way.
+worklist (:func:`compute_liveness_reference`), and the bitset kernel in
+:mod:`repro.core.dense` (``live_in``/``live_out`` as big-int masks,
+frozensets materialized only at this API boundary).
+:func:`compute_liveness` is the single switch point -- it consults the
+process-wide implementation registry (``REPRO_ANALYSIS`` /
+``--analysis-impl``) and the dense variant attaches its mask payload as
+``Liveness._dense``, which downstream passes key off so one analysis
+never mixes implementations.  Results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -118,11 +118,11 @@ class Liveness:
 
 
 def compute_liveness(program: Program) -> Liveness:
-    """Run the backward worklist analysis over ``program``.
+    """Liveness of ``program`` under the process-default implementation.
 
     This is the implementation switch point: when the process default
     (see :mod:`repro.core.dense`) is ``dense``, the bitset fixpoint runs
-    instead of the reference set-based worklist below.  Both produce
+    instead of :func:`compute_liveness_reference`.  Both produce
     bit-identical :class:`Liveness` facts.
     """
     from repro.core.dense import analysis_is_dense
@@ -131,6 +131,15 @@ def compute_liveness(program: Program) -> Liveness:
         from repro.core.dense import compute_liveness_dense
 
         return compute_liveness_dense(program)
+    return compute_liveness_reference(program)
+
+
+def compute_liveness_reference(program: Program) -> Liveness:
+    """Run the set-based backward worklist analysis over ``program``.
+
+    The reference implementation, whatever the process default is;
+    checks that must not trust the dense kernels call it directly.
+    """
     n = len(program.instrs)
     defs: List[FrozenSet[Reg]] = []
     uses: List[FrozenSet[Reg]] = []

@@ -19,11 +19,11 @@ Commands:
 ``encode FILE [-o OUT]``
     Assemble an allocated (physical-register) program to 64-bit machine
     words (hex, one per line).
-``bench {table1,table2,table3,fig14,perf,batch,alloc,analysis,fabric,trend} [--engine E]``
+``bench {table1,table2,table3,fig14,perf,alloc,analysis,fabric,trend} [--engine E]``
     Regenerate one of the paper's tables/figures, or the engine
-    (``perf``) / batched-lockstep (``batch``) / allocation-pipeline
-    (``alloc``, including the shared-descent budget sweep: one Figure-8
-    descent per kernel answers every register budget) / cold-analysis
+    (``perf``) / allocation-pipeline (``alloc``, including the
+    shared-descent budget sweep: one Figure-8 descent per kernel
+    answers every register budget) / cold-analysis
     (``analysis``) / sweep-fabric (``fabric``: serial vs process pool
     vs the durable content-addressed fabric) throughput comparisons.
     Every measuring experiment
@@ -36,14 +36,15 @@ Commands:
     noise-aware ``--threshold`` percentage.
 
 ``run``, ``profile``, ``bench``, and ``chaos`` accept ``--engine
-{auto,fast,reference,batch}`` to pick the execution engine
+{auto,fast,reference}`` to pick the execution engine
 (``docs/PERFORMANCE.md``); the default ``auto`` uses the pre-decoded
 fast engine except for runs needing reference-only features (tracing,
 timelines, the paranoid checker, an active telemetry capture).
-``batch`` is the numpy lockstep engine: seed sweeps become one
-vectorized run (``repro.sim.run.run_seed_sweep``); flags that force a
-reference-only feature (e.g. ``run --allocated``) reject it with an
-error naming the forcing flag.
+Flags that force a reference-only feature (e.g. ``run --allocated``)
+reject ``--engine fast`` with an error naming the forcing flag.
+Library errors (:class:`~repro.errors.ReproError`, e.g. an
+infeasible ``--nreg``) print ``error: <message>`` and exit 2; ``fabric``
+exits 1 on its own run-directory errors and deadlines.
 ``profile`` and ``bench`` also accept ``--jobs N`` (parallel sweep /
 analysis workers), ``--cache-dir DIR`` (persist the analysis cache
 on disk, also settable via ``REPRO_CACHE_DIR``), and ``--fabric DIR``
@@ -107,7 +108,7 @@ from typing import Iterator, List, Optional, Sequence
 from repro.core.analysis import analyze_thread
 from repro.core.bounds import estimate_bounds
 from repro.core.pipeline import allocate_programs
-from repro.errors import EngineError
+from repro.errors import ReproError
 from repro.obs import events as obs
 from repro.ir.encoding import encode_program
 from repro.ir.parser import parse_program
@@ -236,7 +237,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     programs = _load_all(args.files)
     engine = args.engine
     if args.allocated:
-        if engine in ("fast", "batch"):
+        if engine == "fast":
             print(
                 _engine_conflict(
                     "--allocated", engine, "the paranoid safety checker"
@@ -285,18 +286,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     _apply_fabric(args)
     _apply_analysis_impl(args)
     programs = _load_all(args.files)
-    try:
-        report = profile_programs(
-            programs,
-            nreg=args.nreg,
-            packets=args.packets,
-            sim=not args.no_sim,
-            engine=args.engine,
-            jobs=args.jobs,
-        )
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = profile_programs(
+        programs,
+        nreg=args.nreg,
+        packets=args.packets,
+        sim=not args.no_sim,
+        engine=args.engine,
+        jobs=args.jobs,
+    )
     print(render_report(report))
     if args.json:
         out = write_json(args.json, report.to_dict())
@@ -367,18 +364,6 @@ def _run_bench_experiment(args: argparse.Namespace):
         return render_perf(rows), {
             "rows": [r.to_dict() for r in rows],
             "summary": summarize_perf(rows),
-        }
-    if args.experiment == "batch":
-        from repro.harness.batchperf import (
-            render_batchperf,
-            run_batchperf,
-            summarize_batchperf,
-        )
-
-        rows = run_batchperf()
-        return render_batchperf(rows), {
-            "rows": [r.to_dict() for r in rows],
-            "summary": summarize_batchperf(rows),
         }
     if args.experiment == "alloc":
         from repro.harness.allocperf import render_alloc, run_alloc_bench
@@ -811,8 +796,7 @@ def _add_engine_flag(p: argparse.ArgumentParser) -> None:
         choices=list(ENGINES),
         default="auto",
         help="execution engine: 'fast' is the pre-decoded burst engine "
-        "(stats-identical, no tracing/paranoid checks), 'batch' the "
-        "numpy lockstep engine that vectorizes seed sweeps, 'reference' "
+        "(stats-identical, no tracing/paranoid checks), 'reference' "
         "the full-featured interpreter, 'auto' picks per run (default)",
     )
 
@@ -940,7 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
             "table3",
             "fig14",
             "perf",
-            "batch",
             "alloc",
             "analysis",
             "fabric",
@@ -1166,6 +1149,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return args.func(args)
     except BrokenPipeError:  # e.g. piped into `head`
         return 0
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -183,29 +183,24 @@ def _check_csb_private(outcome: AllocationOutcome) -> Check:
     # Recompute liveness of the REWRITTEN programs with the reference
     # set-based worklist, whatever the process-wide default is: the
     # invariant check must not trust the kernels under audit.
-    from repro.cfg.liveness import compute_liveness
-    from repro.core.dense import set_default_analysis_impl
+    from repro.cfg.liveness import compute_liveness_reference
 
     a = outcome.assignment
     problems: List[str] = []
-    previous = set_default_analysis_impl("reference")
-    try:
-        for tid, program in enumerate(outcome.programs):
-            p0, p1 = a.maps[tid].private_registers()
-            liveness = compute_liveness(program)
-            for pc, instr in enumerate(program.instrs):
-                if not instr.is_csb:
-                    continue
-                for reg in liveness.live_across_csb(pc):
-                    idx = _phys_index(reg)
-                    if not p0 <= idx < p1:
-                        problems.append(
-                            f"thread {tid} pc {pc} ({instr.opcode.name}): "
-                            f"{reg} is live across the CSB but not in the "
-                            f"private window [{p0}, {p1})"
-                        )
-    finally:
-        set_default_analysis_impl(previous)
+    for tid, program in enumerate(outcome.programs):
+        p0, p1 = a.maps[tid].private_registers()
+        liveness = compute_liveness_reference(program)
+        for pc, instr in enumerate(program.instrs):
+            if not instr.is_csb:
+                continue
+            for reg in liveness.live_across_csb(pc):
+                idx = _phys_index(reg)
+                if not p0 <= idx < p1:
+                    problems.append(
+                        f"thread {tid} pc {pc} ({instr.opcode.name}): "
+                        f"{reg} is live across the CSB but not in the "
+                        f"private window [{p0}, {p1})"
+                    )
     return Check("safety.csb_private", not problems, "; ".join(problems[:4]))
 
 

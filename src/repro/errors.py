@@ -173,13 +173,11 @@ class WatchdogError(SimulationError):
 class EngineError(SimulationError):
     """An execution engine cannot honour the requested feature set.
 
-    Raised when the fast or batch engine is explicitly selected
-    together with a feature only the reference interpreter implements
-    (instruction tracing, timeline recording, the paranoid safety
-    checker), when ``engine="batch"`` is requested without numpy
-    installed or with a fault-injection plan armed, and for unknown
-    engine names.  Auto-selection never raises it -- it silently picks
-    the reference engine instead.
+    Raised when the fast engine is explicitly selected together with a
+    feature only the reference interpreter implements (instruction
+    tracing, timeline recording, the paranoid safety checker), and for
+    unknown engine names.  Auto-selection never raises it -- it
+    silently picks the reference engine instead.
     """
 
 

@@ -28,9 +28,8 @@ becomes a typed :class:`~repro.errors.VerificationError`.
 
 Watchdog coverage rides along: the ``sim-stuck`` scenario injects a
 wake-up that never arrives and the ``runaway-*`` scenarios run a
-non-terminating program on each engine (reference, fast, and every
-lane of a lockstep batch); all of them must end in
-:class:`~repro.errors.WatchdogError`, never a hang.
+non-terminating program on each engine (reference and fast); all of
+them must end in :class:`~repro.errors.WatchdogError`, never a hang.
 
 CLI: ``repro chaos [--kernels a,b,c] [--scenarios x,y] [--seed N]
 [--json OUT]`` -- exits non-zero when the gate fails (the CI
@@ -46,7 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core import cache as cache_mod
 from repro.core.pipeline import allocate_programs
 from repro.core.verify import verify_outcome
-from repro.errors import InjectedFault, ReproError, WatchdogError
+from repro.errors import InjectedFault, ReproError
 from repro.ir.program import Program
 from repro.resilience import faults, guard
 from repro.resilience.faults import FaultSpec
@@ -260,29 +259,6 @@ def _body_runaway_fast(ctx: _Ctx) -> None:
     from repro.sim.fast import FastMachine
 
     FastMachine([_spin_program()]).run(max_cycles=5_000)
-
-
-def _body_runaway_batch(ctx: _Ctx) -> None:
-    """Every lane of a lockstep batch must trip the watchdog *per lane*
-    (healthy-lane isolation is the batch engine's contract) -- and the
-    typed error must surface, never a hang.
-
-    The batch engine refuses to run under an armed fault plan (faults
-    are per-machine, lanes share dispatch), so the run itself goes
-    through :func:`~repro.resilience.faults.suspended`; the watchdog
-    being exercised here is the real one, not an injection.
-    """
-    from repro.sim.engine import _batch_machine_class
-
-    BatchMachine = _batch_machine_class()
-    with faults.suspended():
-        results = BatchMachine([_spin_program()], n_lanes=4).run_batch(
-            max_cycles=5_000
-        )
-    bad = [r.lane for r in results if not isinstance(r.error, WatchdogError)]
-    if bad:
-        raise InjectedFault(f"batch lanes {bad} escaped the cycle watchdog")
-    raise results[0].error
 
 
 def _service_doc(ctx: _Ctx, nreg: int) -> Dict[str, Any]:
@@ -567,23 +543,13 @@ SCENARIOS: Tuple[Scenario, ...] = (
         expect="typed-error",
         body=_body_runaway_fast,
     ),
-    Scenario(
-        name="runaway-batch",
-        description="non-terminating program on the batch engine trips "
-        "the watchdog in every lane, surfacing per-lane typed errors",
-        specs=(),
-        expect="typed-error",
-        body=_body_runaway_batch,
-    ),
 )
 
 _BY_NAME = {s.name: s for s in SCENARIOS}
 
 #: Scenarios that only exercise the simulator watchdog and need no
 #: per-kernel repetition (the kernel programs are not even used).
-_KERNEL_FREE = frozenset(
-    {"runaway-reference", "runaway-fast", "runaway-batch"}
-)
+_KERNEL_FREE = frozenset({"runaway-reference", "runaway-fast"})
 
 
 def _scenario_seed(base: int, scenario: str, kernel: str) -> int:

@@ -39,8 +39,6 @@ PathLike = Union[str, pathlib.Path]
 WATCHED: Dict[str, str] = {
     "sim.speedup": "higher",            # fast engine vs reference (perf)
     "sim.fast_ips": "higher",           # fast-engine instructions/s
-    "sim.batch_speedup": "higher",      # one batch vs N fast runs (batch)
-    "sim.batch_ips": "higher",          # batch-engine instructions/s
     "alloc.warm_speedup": "higher",     # warm cache vs cold pipeline
     "alloc.parallel_speedup": "higher",  # parallel sweep vs cold serial
     "alloc.descent_speedup": "higher",  # shared descent vs per-budget
@@ -58,9 +56,9 @@ WATCHED: Dict[str, str] = {
 def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
     """Extract the watched scalar metrics from one bench's ``data``.
 
-    ``bench`` is the artifact name (``perf``, ``batch``, ``alloc``,
-    ``analysis``, ``fabric``, ``table1``, ``table2``, ``table3`` or
-    ``table3_<pair>``, ``fig14``);
+    ``bench`` is the artifact name (``perf``, ``alloc``, ``analysis``,
+    ``fabric``, ``table1``, ``table2``, ``table3`` or ``table3_<pair>``,
+    ``fig14``);
     ``data`` the same payload that goes into ``BENCH_<name>.json``.
     Unknown benches (the ablations) yield ``{}`` -- they are explored,
     not gated.
@@ -71,21 +69,14 @@ def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
             summary = data["summary"]
             out["sim.speedup"] = float(summary["speedup"])
             out["sim.fast_ips"] = float(summary["fast_ips"])
-        elif bench == "batch":
-            summary = data["summary"]
-            # A batch whose lanes diverged from the scalar runs has a
-            # meaningless speedup; report nothing rather than a number
-            # the trend gate would happily accept.
-            if summary["lanes_identical"]:
-                out["sim.batch_speedup"] = float(summary["speedup"])
-                out["sim.batch_ips"] = float(summary["batch_ips"])
         elif bench == "alloc":
             out["alloc.warm_speedup"] = float(data["warm_speedup"])
             out["alloc.parallel_speedup"] = float(data["parallel_speedup"])
             # Older BENCH_alloc.json payloads predate the descent
             # section; ``.get`` keeps their warm/parallel metrics
             # watched instead of voiding the whole extraction.  A
-            # diverged descent reports nothing, like the batch bench.
+            # diverged descent has a meaningless speedup; report
+            # nothing rather than a number the trend gate would accept.
             descent = data.get("descent_speedup")
             if isinstance(descent, (int, float)) and data.get(
                 "descent_identical", False
@@ -96,7 +87,7 @@ def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
             out["analysis.e2e_speedup"] = float(data["e2e_speedup"])
         elif bench == "fabric":
             # A fabric whose merged summaries diverged from serial has
-            # a meaningless speedup; report nothing, like batch.
+            # a meaningless speedup; report nothing, like the descent.
             if data["identical"]:
                 out["fabric.speedup"] = float(data["fabric_speedup"])
         elif bench == "table1":

@@ -92,12 +92,6 @@ LADDER: Tuple[Rung, ...] = (
         action="run that machine on the reference interpreter",
     ),
     Rung(
-        name="engine.batch_to_reference",
-        trigger="the process-default batch engine meets a reference-only "
-        "feature (trace, timeline, paranoid assignment)",
-        action="run that machine on the reference interpreter",
-    ),
-    Rung(
         name="sweep.parallel_to_serial",
         trigger="the sweep's process pool cannot be built, breaks "
         "mid-flight, or times out",

@@ -20,10 +20,8 @@ memory operation or executes ``ctx`` voluntarily.
   paranoid register-safety checker.
 * :mod:`repro.sim.decode` -- pre-decoding pass for the fast engine.
 * :mod:`repro.sim.fast` -- the pre-decoded burst-execution engine.
-* :mod:`repro.sim.batch` -- the numpy struct-of-arrays lockstep engine
-  (many machine instances as one vectorized execution; needs numpy).
 * :mod:`repro.sim.engine` -- engine selection (``auto``/``fast``/
-  ``reference``/``batch``) shared by the runners and the CLI.
+  ``reference``) shared by the runners and the CLI.
 * :mod:`repro.sim.run` -- workload runners and reference-vs-allocated
   equivalence checking.
 """
@@ -45,29 +43,10 @@ from repro.sim.run import (
     RunResult,
     run_threads,
     run_reference,
-    run_seed_sweep,
     outputs_match,
 )
 
-
-def __getattr__(name):
-    # The batch engine needs numpy; import it lazily so ``import
-    # repro.sim`` keeps working without it (requesting engine="batch"
-    # then raises a clear EngineError via the registry).
-    if name in ("BatchMachine", "LaneResult", "simulate_batch",
-                "build_batch_machine"):
-        from repro.sim import batch
-
-        return getattr(batch, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "BatchMachine",
-    "LaneResult",
-    "simulate_batch",
-    "build_batch_machine",
-    "run_seed_sweep",
     "Memory",
     "PacketWorkload",
     "make_workload",

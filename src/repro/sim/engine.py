@@ -1,6 +1,6 @@
-"""Execution-engine selection: reference, fast, and batch engines.
+"""Execution-engine selection: reference and fast engines.
 
-Three engines implement the machine model:
+Two engines implement the machine model:
 
 * ``"reference"`` -- :class:`~repro.sim.machine.Machine`, the semantics
   oracle.  Supports every feature: instruction tracing, timeline
@@ -8,25 +8,16 @@ Three engines implement the machine model:
 * ``"fast"`` -- :class:`~repro.sim.fast.FastMachine`, the pre-decoded
   burst engine.  Stats-identical to the reference but records no
   traces/timelines and performs no paranoid checks.
-* ``"batch"`` -- :class:`~repro.sim.batch.BatchMachine`, the numpy
-  struct-of-arrays lockstep engine.  Runs many machine instances as one
-  vectorized execution (see :func:`repro.sim.batch.simulate_batch`);
-  behind this registry it drives a single lane, with the fast engine's
-  feature restrictions.  Requires numpy: requesting it without numpy
-  installed raises :class:`~repro.errors.EngineError` -- never a silent
-  fallback.
 
 ``"auto"`` (the default) picks the fast engine whenever no
 reference-only feature is in play: an explicit ``trace``/``timeline``
 request, a :class:`RegisterAssignment` (paranoid mode), or an active
 telemetry capture (which the reference engine turns into timeline
-recording) all select the reference engine.  Auto never picks batch --
-batching pays off when callers hand over whole seed sweeps, not single
-runs.
+recording) all select the reference engine.
 
-Explicitly asking for ``engine="fast"``/``"batch"`` together with a
-reference-only feature raises :class:`~repro.errors.EngineError`; when
-the *global default* (see :func:`set_default_engine`, used by the CLI's
+Explicitly asking for ``engine="fast"`` together with a reference-only
+feature raises :class:`~repro.errors.EngineError`; when the *global
+default* (see :func:`set_default_engine`, used by the CLI's
 ``--engine`` flag) names that engine the conflict instead falls back to
 the reference engine with a :class:`RuntimeWarning` -- a harness-wide
 preference should not explode the one allocated run inside a sweep.
@@ -48,7 +39,7 @@ from repro.sim.fast import FastMachine
 from repro.sim.machine import Machine
 
 #: Recognised engine names.
-ENGINES = ("auto", "fast", "reference", "batch")
+ENGINES = ("auto", "fast", "reference")
 
 #: Any concrete machine type (all expose the same run interface).
 AnyMachine = Union[Machine, FastMachine]
@@ -96,8 +87,8 @@ def select_engine(
     """Resolve an engine request to a concrete engine name.
 
     ``engine=None`` consults the global default (non-strict: a
-    conflicting ``"fast"``/``"batch"`` default falls back with a
-    once-per-process warning).  An explicit engine is strict and raises
+    conflicting ``"fast"`` default falls back with a once-per-process
+    warning).  An explicit engine is strict and raises
     :class:`EngineError` on conflict, naming the flag that forced it.
     """
     strict = engine is not None
@@ -121,7 +112,7 @@ def select_engine(
             return "reference"
         return "fast"
 
-    # name == "fast" or "batch"
+    # name == "fast"
     if blockers:
         message = (
             f"the {name} engine does not support "
@@ -141,19 +132,6 @@ def select_engine(
     return name
 
 
-def _batch_machine_class():
-    """Import the batch engine, mapping a missing numpy to EngineError."""
-    try:
-        from repro.sim.batch import BatchMachine
-    except ImportError as exc:
-        raise EngineError(
-            "engine='batch' requires numpy, which is not importable "
-            f"({exc}); install the package dependencies or pick "
-            "engine='fast'"
-        ) from exc
-    return BatchMachine
-
-
 def create_machine(
     programs: Sequence[Program],
     engine: Optional[str] = None,
@@ -171,17 +149,12 @@ def create_machine(
     """Build the machine the resolved engine calls for.
 
     The keyword surface matches :class:`~repro.sim.machine.Machine`, so
-    callers can switch engines without touching anything else.  A
-    ``"batch"`` engine here is a single-lane batch; whole-sweep batching
-    goes through :func:`repro.sim.batch.simulate_batch`.
+    callers can switch engines without touching anything else.
     """
     chosen = select_engine(
         engine, trace=trace, timeline=timeline, assignment=assignment
     )
-    if chosen == "batch":
-        cls = _batch_machine_class()
-    else:
-        cls = FastMachine if chosen == "fast" else Machine
+    cls = FastMachine if chosen == "fast" else Machine
     return cls(
         programs,
         nreg=nreg,

@@ -129,82 +129,6 @@ def run_reference(
     return run_threads(programs, **kwargs)
 
 
-def run_seed_sweep(
-    programs: Sequence[Program],
-    seeds: Sequence[int],
-    packets_per_thread: int = 32,
-    payload_words: int = 16,
-    vary_size: bool = False,
-    nreg: int = 128,
-    mem_latency: int = 20,
-    ctx_cost: int = 1,
-    max_cycles: int = 50_000_000,
-    stop_on_first_halt: bool = False,
-    measure_iterations: Optional[int] = None,
-    engine: Optional[str] = None,
-) -> List[RunResult]:
-    """One :func:`run_threads` per seed, batched when the engine allows.
-
-    With ``engine="batch"`` (or a ``"batch"`` process default) the whole
-    sweep becomes ONE vectorized :class:`~repro.sim.batch.BatchMachine`
-    execution -- one lane per seed, each lane bit-identical to the
-    scalar run it replaces.  Any other engine falls back to the plain
-    per-seed loop, so callers can hand every seed sweep through here and
-    let ``--engine`` decide the execution strategy.
-    """
-    from repro.sim.engine import select_engine
-
-    chosen = select_engine(engine)
-    if chosen == "batch" and len(seeds) >= 1:
-        from repro.sim.batch import build_batch_machine
-
-        machine = build_batch_machine(
-            programs,
-            list(seeds),
-            packets_per_thread=packets_per_thread,
-            payload_words=payload_words,
-            vary_size=vary_size,
-            nreg=nreg,
-            mem_latency=mem_latency,
-            ctx_cost=ctx_cost,
-            measure_iterations=measure_iterations,
-        )
-        outcomes = machine.run_batch(
-            max_cycles=max_cycles, stop_on_first_halt=stop_on_first_halt
-        )
-        results = []
-        for outcome in outcomes:
-            if outcome.error is not None:
-                raise outcome.error
-            contexts = machine.lane_threads(outcome.lane)
-            results.append(
-                RunResult(
-                    stats=outcome.stats,
-                    out_queues=[list(t.out_queue) for t in contexts],
-                    stores=[list(t.stores) for t in contexts],
-                    machine=machine,
-                )
-            )
-        return results
-    return [
-        run_threads(
-            programs,
-            packets_per_thread=packets_per_thread,
-            payload_words=payload_words,
-            seed=seed,
-            vary_size=vary_size,
-            nreg=nreg,
-            mem_latency=mem_latency,
-            ctx_cost=ctx_cost,
-            max_cycles=max_cycles,
-            stop_on_first_halt=stop_on_first_halt,
-            measure_iterations=measure_iterations,
-            engine=chosen,
-        )
-        for seed in seeds
-    ]
-
-
 def outputs_match(a: RunResult, b: RunResult) -> bool:
     """Observable equivalence of two runs: per-thread send queues and
     store traces, ignoring traffic to the spill scratch region."""

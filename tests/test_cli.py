@@ -68,6 +68,22 @@ def test_run_allocated_verifies(kernel_file, capsys):
     assert "verified against reference: True" in out
 
 
+def test_library_errors_exit_2_without_traceback(kernel_file, capsys):
+    # AllocationError from an infeasible budget, and EngineError from a
+    # feature the fast engine lacks: both are ReproErrors, reported by
+    # main() as one line on stderr.
+    for argv, message in (
+        (["allocate", kernel_file, kernel_file, "--nreg", "2"], "cannot fit"),
+        (
+            ["profile", kernel_file, "--engine", "fast", "--packets", "2"],
+            "fast engine does not support",
+        ),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 def test_encode_requires_physical(kernel_file, capsys):
     assert main(["encode", kernel_file]) == 1
     assert "allocate it first" in capsys.readouterr().err

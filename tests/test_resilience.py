@@ -149,7 +149,6 @@ def test_ladder_documents_every_rung():
     assert names == {
         "analysis.dense_to_reference",
         "engine.fast_to_reference",
-        "engine.batch_to_reference",
         "sweep.parallel_to_serial",
         "cache.disk_to_memory",
         "alloc.greedy_to_spill",

@@ -20,6 +20,7 @@ from repro.ir.parser import parse_program
 from repro.ir.validate import validate_program
 from repro.obs import events as obs
 from repro.sim.engine import (
+    _reset_fallback_warnings,
     create_machine,
     get_default_engine,
     select_engine,
@@ -208,6 +209,7 @@ def test_hypothesis_differential_branching(text):
 # ----------------------------------------------------------------------
 def test_auto_prefers_fast():
     assert select_engine("auto") == "fast"
+    assert select_engine(None) == "fast"
     assert isinstance(create_machine([load("frag")], "auto"), FastMachine)
 
 
@@ -237,20 +239,47 @@ def test_explicit_fast_conflicts_raise():
         FastMachine([load("frag")], assignment=object())
 
 
+def _runtime_warnings(caught):
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_fast_default_engine_warns_and_falls_back():
     previous = set_default_engine("fast")
+    _reset_fallback_warnings()
     try:
         assert get_default_engine() == "fast"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             chosen = select_engine(None, trace=True)
         assert chosen == "reference"
-        assert any(
-            issubclass(w.category, RuntimeWarning) for w in caught
-        )
+        assert len(_runtime_warnings(caught)) == 1
     finally:
         set_default_engine(previous)
+        _reset_fallback_warnings()
     assert get_default_engine() == previous
+
+
+def test_fallback_warning_deduplicated():
+    """A conflicting engine *default* warns once per process, not once
+    per select (the degradation record still fires each time)."""
+    previous = set_default_engine("fast")
+    _reset_fallback_warnings()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert select_engine(None, trace=True) == "reference"
+            assert select_engine(None, trace=True) == "reference"
+        assert len(_runtime_warnings(caught)) == 1
+        # The test hook forgets issued warnings; the next conflict
+        # warns again.
+        _reset_fallback_warnings()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert select_engine(None, trace=True) == "reference"
+        assert len(_runtime_warnings(caught)) == 1
+    finally:
+        set_default_engine(previous)
+        _reset_fallback_warnings()
 
 
 def test_unknown_engine_rejected():
@@ -297,7 +326,10 @@ def test_cli_run_allocated_rejects_fast(tmp_path, capsys):
         ["run", str(path), "--allocated", "--engine", "fast"]
     )
     assert code == 2
-    assert "fast engine" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # The error names the flag that forced the conflict.
+    assert "--allocated" in err
+    assert "fast engine" in err
 
 
 def test_cli_run_fast_engine(tmp_path, capsys):
