@@ -23,7 +23,9 @@ of variables per step).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.core.analysis import ThreadAnalysis
 from repro.core.dense import mask_of_slots
@@ -127,6 +129,14 @@ class AllocContext:
 
     def piece_of(self, reg: Reg, slot: int) -> Piece:
         return self.pieces[self._assign[reg][slot]]
+
+    def slot_map(self, reg: Reg) -> Mapping[int, int]:
+        """``reg``'s slot -> pid assignment, for bulk reads.
+
+        Read-only: the map may be shared with other copies of this
+        context until one of them writes to ``reg``.
+        """
+        return self._assign[reg]
 
     def pieces_of(self, reg: Reg) -> List[Piece]:
         seen: Set[int] = set()
@@ -315,11 +325,34 @@ class AllocContext:
         dense = getattr(self.analysis, "dense", None)
         if dense is None:
             return bool(self.conflicts_with_color(piece, color))
+        return any(
+            other.color == color
+            for other in self._dense_conflicting(piece, dense)
+        )
+
+    def colors_in_conflict(self, piece: Piece) -> Set[int]:
+        """All colors used by pieces truly conflicting with ``piece``.
+
+        The key set of :meth:`conflict_profile`, for callers that only
+        test membership: the dense path collects the colors straight from
+        the conflict masks, with no entry lists and no sort.
+        """
+        dense = getattr(self.analysis, "dense", None)
+        if dense is None:
+            return set(self.conflict_profile(piece))
+        return {other.color for other in self._dense_conflicting(piece, dense)}
+
+    def _dense_conflicting(
+        self, piece: Piece, dense: object
+    ) -> Iterator[Piece]:
+        """Walk ``piece``'s precomputed conflict masks, yielding the
+        conflicting pieces: once per unsplit other range, once per
+        conflicting slot of a split one (repeats allowed)."""
         an = self.analysis
         reg = piece.reg
         pairs = an.conflicts_at.get(reg, ())
         if not pairs:
-            return False
+            return
         masks = dense.conflict_masks(reg, pairs)  # type: ignore[attr-defined]
         whole = len(piece.slots) == len(an.slots[reg])
         pmask = None if whole else mask_of_slots(piece.slots)
@@ -333,24 +366,12 @@ class AllocContext:
                     continue
             om = assign[other_reg]
             if counts.get(other_reg, 0) <= 1:
-                low = m & -m
-                if pieces[om[low.bit_length() - 1]].color == color:
-                    return True
+                yield pieces[om[(m & -m).bit_length() - 1]]
             else:
                 while m:
                     low = m & -m
                     m ^= low
-                    if pieces[om[low.bit_length() - 1]].color == color:
-                        return True
-        return False
-
-    def colors_in_conflict(self, piece: Piece) -> Set[int]:
-        """All colors used by pieces truly conflicting with ``piece``."""
-        return set(self.conflict_profile(piece))
-
-    def color_users(self, color: int) -> List[Piece]:
-        """All pieces currently holding ``color``."""
-        return [p for p in self.all_pieces() if p.color == color]
+                    yield pieces[om[low.bit_length() - 1]]
 
     # ------------------------------------------------------------------
     # Cost.

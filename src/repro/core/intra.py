@@ -67,6 +67,9 @@ class IntraAllocator:
     def __init__(self, analysis: ThreadAnalysis, bounds: Optional[Bounds] = None):
         self.analysis = analysis
         self.bounds = bounds if bounds is not None else estimate_bounds(analysis)
+        #: Lazy per-range slot -> flow-neighbor slots (see
+        #: :meth:`_flow_neighbors`).
+        self._flow_index: Dict[Reg, Dict[int, Tuple[int, ...]]] = {}
         self.context = initial_context(
             analysis,
             self.bounds.coloring,
@@ -369,13 +372,13 @@ class IntraAllocator:
         """Try to free ``col`` for ``piece`` by recoloring its blockers."""
         moved: List[Tuple[Piece, int]] = []
         for blocker in blockers:
-            b_profile = ctx.conflict_profile(blocker)
+            taken = ctx.colors_in_conflict(blocker)
             choice = next(
                 (
                     bc
                     for bc in self._palette(ctx, blocker)
                     if bc not in (banned, blocker.color, col)
-                    and bc not in b_profile
+                    and bc not in taken
                 ),
                 None,
             )
@@ -561,31 +564,62 @@ class IntraAllocator:
             if not improved:
                 return
 
+    def _flow_neighbors(self, reg: Reg) -> Dict[int, Tuple[int, ...]]:
+        """``reg``'s flow edges indexed by slot, built on first use: each
+        slot maps to the far endpoint of every edge incident to it.
+
+        A self-loop ``(s, s)`` (a one-instruction loop) is listed once.
+        Kept on the allocator rather than the analysis, whose pickles the
+        AnalysisCache disk layer stores.
+        """
+        index = self._flow_index.get(reg)
+        if index is None:
+            lists: Dict[int, List[int]] = {}
+            for i, j in self.analysis.flow_edges.get(reg, ()):
+                lists.setdefault(i, []).append(j)
+                if j != i:
+                    lists.setdefault(j, []).append(i)
+            index = {s: tuple(far) for s, far in lists.items()}
+            self._flow_index[reg] = index
+        return index
+
+    def _absorb_gains(self, ctx: AllocContext, piece: Piece) -> Dict[int, int]:
+        """How many flow edges join ``piece`` to other pieces of its
+        range, per color of the other piece.
+
+        Only an edge with exactly one endpoint in the piece counts, so
+        walking the piece's own slots sees every counted edge once.
+        """
+        index = self._flow_neighbors(piece.reg)
+        owner = ctx.slot_map(piece.reg)
+        pieces = ctx.pieces
+        pid = piece.pid
+        gains: Dict[int, int] = {}
+        for s in piece.slots:
+            for t in index.get(s, ()):
+                other = owner[t]
+                if other != pid:
+                    col = pieces[other].color
+                    gains[col] = gains.get(col, 0) + 1
+        return gains
+
     def _try_absorb(self, ctx: AllocContext, piece: Piece) -> bool:
         """Recolor ``piece`` to a flow-neighbor color when that removes
         more crossings than it creates; returns True on improvement."""
-        an = self.analysis
-        gains: Dict[int, int] = {}
-        for i, j in an.flow_edges.get(piece.reg, ()):
-            pa = ctx.piece_of(piece.reg, i)
-            pb = ctx.piece_of(piece.reg, j)
-            if pa.pid == piece.pid and pb.pid != piece.pid:
-                gains[pb.color] = gains.get(pb.color, 0) + 1
-            elif pb.pid == piece.pid and pa.pid != piece.pid:
-                gains[pa.color] = gains.get(pa.color, 0) + 1
+        gains = self._absorb_gains(ctx, piece)
         if not gains:
             return False
         current_gain = gains.get(piece.color, 0)
         palette = self._palette(ctx, piece)
-        profile = None
+        taken = None
         for col, gain in sorted(gains.items()):
             if gain <= current_gain or col == piece.color:
                 continue
             if col not in palette:
                 continue
-            if profile is None:
-                profile = ctx.conflict_profile(piece)
-            if col in profile:
+            if taken is None:
+                taken = ctx.colors_in_conflict(piece)
+            if col in taken:
                 continue
             piece.color = col
             return True

@@ -8,7 +8,30 @@ from repro.core.context import initial_context
 from repro.core.intra import IntraAllocator
 from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
+from repro.suite.registry import BENCHMARKS, load
 from tests.conftest import FIG3_T1, MINI_KERNEL
+
+#: Figure 3's thread 1 with a one-instruction loop at L2: the flow edge
+#: (L2, L2) is a self-loop of %b and %c.  At the minimum both ranges are
+#: split, each keeping L2 inside a multi-slot piece.
+SELF_LOOP = """
+    movi %a, 1
+    ctx
+    bnei %a, 0, L1
+    movi %b, 2
+    add %x, %a, %b
+    movi %c, 3
+    br L2
+L1:
+    movi %c, 4
+    add %x, %a, %c
+    movi %b, 5
+L2:
+    bne %b, %c, L2
+    add %x, %b, %c
+    load %y, [%x]
+    halt
+"""
 
 
 def v(name):
@@ -139,3 +162,53 @@ def test_probe_shift_respects_min_pr():
         alloc.commit(res)
     if alloc.context.pr == bounds.min_pr:
         assert alloc.probe_shift() is None
+
+
+def _full_scan_gains(ctx, piece):
+    """Reference gain count: every flow edge of the whole range."""
+    gains = {}
+    for i, j in ctx.analysis.flow_edges.get(piece.reg, ()):
+        pa = ctx.piece_of(piece.reg, i)
+        pb = ctx.piece_of(piece.reg, j)
+        if pa.pid == piece.pid and pb.pid != piece.pid:
+            gains[pb.color] = gains.get(pb.color, 0) + 1
+        elif pb.pid == piece.pid and pa.pid != piece.pid:
+            gains[pa.color] = gains.get(pa.color, 0) + 1
+    return gains
+
+
+@pytest.fixture
+def gains_oracle(monkeypatch):
+    """Check every ``_absorb_gains`` call against the full scan; collects
+    the slots of each piece asked about."""
+    asked = []
+    indexed = IntraAllocator._absorb_gains
+
+    def checked(self, ctx, piece):
+        got = indexed(self, ctx, piece)
+        assert got == _full_scan_gains(ctx, piece), (
+            f"{piece.reg} slots {sorted(piece.slots)}"
+        )
+        asked.append(piece.slots)
+        return got
+
+    monkeypatch.setattr(IntraAllocator, "_absorb_gains", checked)
+    return asked
+
+
+def test_absorb_gains_match_full_scan_on_table2(gains_oracle):
+    for name in BENCHMARKS:
+        an = analyze_thread(load(name))
+        bounds = estimate_bounds(an)
+        IntraAllocator(an, bounds).realize(
+            bounds.min_pr, bounds.min_r - bounds.min_pr
+        )
+    assert gains_oracle
+
+
+def test_absorb_gains_ignore_self_loop(gains_oracle):
+    an, bounds, alloc = fresh(SELF_LOOP, "loop")
+    loops = {i for edges in an.flow_edges.values() for i, j in edges if i == j}
+    assert loops
+    alloc.realize(bounds.min_pr, bounds.min_r - bounds.min_pr)
+    assert any(loops & slots for slots in gains_oracle)

@@ -195,27 +195,31 @@ def test_bounds_and_allocation_identical(name):
 
 def test_conflict_profile_and_conflicts_any_match_reference_probes():
     program = load("frag")
-    with using("dense"):
-        an = analyze_thread(program)
-        b = estimate_bounds(an)
-        ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
-        assert an.dense is not None
-        pieces = list(ctx.all_pieces())
-        # Split one range so both the split-other and split-self probe
-        # paths run.
-        for piece in pieces:
-            if len(piece.slots) > 1:
-                part = frozenset([min(piece.slots)])
-                ctx.split_piece(piece, part, piece.color)
-                break
-        for piece in ctx.all_pieces():
-            profile = ctx.conflict_profile(piece)
-            for color in range(ctx.r):
-                pointwise = ctx.conflicts_with_color(piece, color)
-                assert ctx.conflicts_any(piece, color) == bool(pointwise)
-                entry = profile.get(color)
-                got = set() if entry is None else {p.pid for p in entry[0]}
-                assert got == {p.pid for p, _ in pointwise}
+    for impl in ("dense", "reference"):
+        with using(impl):
+            an = analyze_thread(program)
+            b = estimate_bounds(an)
+            ctx = initial_context(
+                an, b.coloring, b.max_pr, b.max_r - b.max_pr
+            )
+            assert (an.dense is not None) == (impl == "dense")
+            pieces = list(ctx.all_pieces())
+            # Split one range so both the split-other and split-self probe
+            # paths run.
+            for piece in pieces:
+                if len(piece.slots) > 1:
+                    part = frozenset([min(piece.slots)])
+                    ctx.split_piece(piece, part, piece.color)
+                    break
+            for piece in ctx.all_pieces():
+                profile = ctx.conflict_profile(piece)
+                assert ctx.colors_in_conflict(piece) == set(profile)
+                for color in range(ctx.r):
+                    pointwise = ctx.conflicts_with_color(piece, color)
+                    assert ctx.conflicts_any(piece, color) == bool(pointwise)
+                    entry = profile.get(color)
+                    got = set() if entry is None else {p.pid for p in entry[0]}
+                    assert got == {p.pid for p, _ in pointwise}
 
 
 def test_profile_entries_identical_across_impls():
