@@ -155,6 +155,15 @@ def rename_webs(program: Program) -> Program:
 
     if analysis_is_dense():
         return _rename_webs_dense(program)
+    return rename_webs_reference(program)
+
+
+def rename_webs_reference(program: Program) -> Program:
+    """Set-based :func:`rename_webs`, whatever the process default is.
+
+    The reference implementation; the analysis fallback that must not
+    trust the dense kernels calls it directly.
+    """
     variables = sorted(program.virtual_regs(), key=str)
     n = len(program.instrs)
     # occurrence -> replacement, keyed by (instr index, operand position).

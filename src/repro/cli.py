@@ -19,14 +19,12 @@ Commands:
 ``encode FILE [-o OUT]``
     Assemble an allocated (physical-register) program to 64-bit machine
     words (hex, one per line).
-``bench {table1,table2,table3,fig14,perf,alloc,analysis,fabric,trend} [--engine E]``
+``bench {table1,table2,table3,fig14,perf,alloc,analysis,trend} [--engine E]``
     Regenerate one of the paper's tables/figures, or the engine
     (``perf``) / allocation-pipeline (``alloc``, including the
     shared-descent budget sweep: one Figure-8 descent per kernel
-    answers every register budget) / cold-analysis
-    (``analysis``) / sweep-fabric (``fabric``: serial vs process pool
-    vs the durable content-addressed fabric) throughput comparisons.
-    Every measuring experiment
+    answers every register budget) / cold-analysis (``analysis``)
+    throughput comparisons.  Every measuring experiment
     appends a row to the run ledger (``--ledger PATH``, default
     ``$REPRO_LEDGER`` or ``benchmarks/out/ledger.jsonl``); ``trend``
     reads the ledger plus the committed ``BENCH_*.json`` snapshots and
@@ -43,16 +41,12 @@ timelines, the paranoid checker, an active telemetry capture).
 Flags that force a reference-only feature (e.g. ``run --allocated``)
 reject ``--engine fast`` with an error naming the forcing flag.
 Library errors (:class:`~repro.errors.ReproError`, e.g. an
-infeasible ``--nreg``) print ``error: <message>`` and exit 2; ``fabric``
-exits 1 on its own run-directory errors and deadlines.
+infeasible ``--nreg``) print ``error: <message>`` and exit 2.
 ``profile`` and ``bench`` also accept ``--jobs N`` (parallel sweep /
-analysis workers), ``--cache-dir DIR`` (persist the analysis cache
-on disk, also settable via ``REPRO_CACHE_DIR``), and ``--fabric DIR``
-(route parallel sweeps through a durable, resumable run directory
-under DIR, also settable via ``REPRO_FABRIC_DIR`` -- a killed run
-re-executes only its missing items); all default to the serial,
-in-memory behavior.  See "Allocator performance" in
-``docs/PERFORMANCE.md`` and ``docs/FABRIC.md``.
+analysis workers) and ``--cache-dir DIR`` (persist the analysis cache
+on disk, also settable via ``REPRO_CACHE_DIR``); both default to the
+serial, in-memory behavior.  See "Allocator performance" in
+``docs/PERFORMANCE.md``.
 ``analyze``, ``allocate``, ``profile``, and ``bench`` accept
 ``--analysis-impl {dense,reference}`` to pick the analysis kernel
 implementation ("Cold-path analysis kernel" in
@@ -64,16 +58,6 @@ flag exists for benchmarking and differential testing.  The default is
     every scenario must end masked-by-policy or as a typed error, with
     the independent verifier clean on masked allocations; exits
     non-zero when the gate fails.
-``fabric {run,resume,status,merge} DIR``
-    Drive a content-addressed sweep run directory directly
-    (``docs/FABRIC.md``): ``run`` plans the allocperf suite x budget
-    grid into DIR (or resumes it when a manifest already exists) and
-    executes it with ``--workers N``; ``resume`` insists the manifest
-    exists and finishes only the missing items; ``status`` prints the
-    JSON progress snapshot; ``merge`` folds the spool into
-    submission-ordered results.  Several hosts may point ``fabric run``
-    at one shared DIR; stale claims (dead pid, or older than ``--ttl``)
-    are stolen.
 ``serve [--port N] [--workers W] [--queue-depth D] [--store-dir DIR]``
     Run the allocation service (``docs/SERVICE.md``): a hardened HTTP
     frontend over the pipeline with bounded admission (typed 429 +
@@ -283,7 +267,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profile import profile_programs, render_report
 
     _apply_cache_dir(args)
-    _apply_fabric(args)
     _apply_analysis_impl(args)
     programs = _load_all(args.files)
     report = profile_programs(
@@ -378,13 +361,6 @@ def _run_bench_experiment(args: argparse.Namespace):
 
         report = run_analysis_bench()
         return render_analysis(report), report.to_dict()
-    if args.experiment == "fabric":
-        from repro.harness.fabricperf import render_fabric, run_fabric_bench
-
-        report = run_fabric_bench(
-            workers=args.jobs if args.jobs and args.jobs > 1 else None
-        )
-        return render_fabric(report), report.to_dict()
     from repro.harness.fig14 import render_fig14, run_fig14
 
     rows = run_fig14(jobs=args.jobs)
@@ -479,7 +455,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # need a reference-only feature (e.g. the paranoid checker) fall
     # back per-run with a warning instead of aborting the sweep.
     _apply_cache_dir(args)
-    _apply_fabric(args)
     _apply_analysis_impl(args)
     previous = set_default_engine(args.engine)
     try:
@@ -517,132 +492,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         out = write_json(args.json, report.to_dict())
         print(f"wrote chaos report to {out}", file=sys.stderr)
     return 0 if report.ok else 1
-
-
-def _append_fabric_ledger(
-    args: argparse.Namespace, st, elapsed: Optional[float]
-) -> None:
-    """One provenance row per ``repro fabric`` run/merge.
-
-    The metrics here (items spooled, steals, wall-clock) are not
-    watched by the trend sentinel -- the gated ``fabric.speedup``
-    comes from ``repro bench fabric`` -- but the ledger keeps the
-    trajectory of fabric activity next to everything else it records.
-    """
-    import time
-
-    from repro.obs import ledger
-
-    path = _bench_ledger_path(args)
-    if path is None:
-        return
-    metrics = {
-        "fabric.items": float(st["done"]),
-        "fabric.stolen": float(
-            sum(w.get("stolen") or 0 for w in st["workers"])
-        ),
-    }
-    if elapsed is not None:
-        metrics["fabric.wall_s"] = float(elapsed)
-    row = ledger.make_row(
-        "fabric",
-        metrics,
-        config={
-            "command": f"fabric {args.action}",
-            "dir": st["dir"],
-            "manifest_id": st["manifest_id"],
-            "label": st["label"],
-            "workers": getattr(args, "workers", None),
-        },
-        ts=time.time(),
-    )
-    out = ledger.append(row, path)
-    print(f"appended fabric ledger row to {out}", file=sys.stderr)
-
-
-def cmd_fabric(args: argparse.Namespace) -> int:
-    """``repro fabric {run,resume,status,merge} DIR``."""
-    import json
-    import time
-
-    from repro import fabric
-    from repro.errors import DeadlineExceeded, FabricError
-
-    run_dir = pathlib.Path(args.dir)
-    action = args.action
-    try:
-        if action == "status":
-            print(
-                json.dumps(fabric.status(run_dir), indent=2, sort_keys=True)
-            )
-            return 0
-        if action == "merge":
-            results = fabric.merge_results(run_dir)
-            st = fabric.status(run_dir)
-            print(
-                f"merged {len(results)} item(s) ({st['unique']} unique) "
-                f"from {run_dir}"
-            )
-            if args.json:
-                from repro.obs.export import to_jsonable, write_json
-
-                out = write_json(args.json, to_jsonable(results))
-                print(f"wrote merged results to {out}", file=sys.stderr)
-            _append_fabric_ledger(args, st, None)
-            return 0
-
-        # run / resume
-        if not run_dir.joinpath("manifest.json").exists():
-            if action == "resume":
-                print(
-                    f"error: nothing to resume: no manifest at {run_dir} "
-                    f"(use 'repro fabric run' to plan one)",
-                    file=sys.stderr,
-                )
-                return 2
-            from repro.harness.allocperf import _alloc_summary, build_grid
-
-            names = (
-                [k for k in args.kernels.split(",") if k]
-                if args.kernels
-                else None
-            )
-            grid = build_grid(names, nthd=args.nthd)
-            fabric.RunDir.plan(run_dir, _alloc_summary, grid, label="alloc")
-            print(
-                f"planned {len(grid)} grid point(s) into {run_dir}",
-                file=sys.stderr,
-            )
-        workers = args.workers
-        if workers <= 0:
-            from repro.harness.sweep import default_jobs
-
-            workers = max(2, min(4, default_jobs()))
-        t0 = time.perf_counter()
-        fabric.execute(
-            run_dir, workers=workers, ttl=args.ttl, timeout=args.timeout
-        )
-        elapsed = time.perf_counter() - t0
-        st = fabric.status(run_dir)
-        stolen = sum(w.get("stolen") or 0 for w in st["workers"])
-        print(
-            f"{st['label']}-{st['manifest_id'][:12]}: "
-            f"{st['done']}/{st['unique']} unique item(s) spooled "
-            f"in {elapsed:.2f}s ({stolen} stolen)"
-        )
-        _append_fabric_ledger(args, st, elapsed)
-        return 0
-    except KeyError as exc:
-        print(f"error: unknown kernel {exc}", file=sys.stderr)
-        return 2
-    except DeadlineExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BrokenPipeError:  # e.g. status piped into `head`
-        raise
-    except (FabricError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -718,25 +567,6 @@ def _apply_cache_dir(args: argparse.Namespace) -> None:
         set_cache_dir(cache_dir)
 
 
-def _apply_fabric(args: argparse.Namespace) -> None:
-    """Route parallel sweeps through a durable fabric root (``--fabric``).
-
-    ``--fabric DIR`` without ``--jobs`` implies at least two workers --
-    a durable run directory driven by a single serial pass would never
-    exercise the machinery the user asked for.  ``jobs`` stays an
-    integer so the analysis-cache warmers (which compare it numerically)
-    are unaffected.
-    """
-    root = getattr(args, "fabric", None)
-    if root:
-        from repro import fabric
-        from repro.harness.sweep import default_jobs
-
-        fabric.set_fabric(root)
-        if getattr(args, "jobs", 1) <= 1:
-            args.jobs = max(2, default_jobs())
-
-
 def _add_perf_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs",
@@ -751,13 +581,6 @@ def _add_perf_flags(p: argparse.ArgumentParser) -> None:
         dest="cache_dir",
         help="persist the analysis cache in DIR across runs "
         "(default: in-memory only, or $REPRO_CACHE_DIR when set)",
-    )
-    p.add_argument(
-        "--fabric",
-        metavar="DIR",
-        help="route parallel sweeps through durable, resumable run "
-        "directories under DIR (default: ephemeral process pool, or "
-        "$REPRO_FABRIC_DIR when set); implies --jobs >= 2",
     )
 
 
@@ -926,7 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
             "perf",
             "alloc",
             "analysis",
-            "fabric",
             "trend",
         ],
         help="experiment to run; 'alloc' measures the allocation "
@@ -988,84 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser(
-        "fabric",
-        help="drive a durable, resumable sweep run directory directly",
-    )
-    fsub = p.add_subparsers(dest="action", required=True)
-    q = fsub.add_parser(
-        "run",
-        help="plan the allocperf suite x budget grid into DIR (or pick "
-        "up an existing manifest) and execute it with N workers",
-    )
-    q.add_argument("dir", help="run directory (created when missing)")
-    q.add_argument(
-        "--kernels",
-        default=None,
-        help="comma-separated suite kernels to plan (default: all; "
-        "ignored when DIR already holds a manifest)",
-    )
-    q.add_argument(
-        "--nthd",
-        type=int,
-        default=2,
-        help="identical threads per grid point when planning (default: 2)",
-    )
-    run_like = [q]
-    q = fsub.add_parser(
-        "resume",
-        help="finish only the missing items of an existing run directory",
-    )
-    q.add_argument("dir", help="run directory holding a manifest")
-    run_like.append(q)
-    for q in run_like:
-        q.add_argument(
-            "--workers",
-            type=int,
-            default=0,
-            help="worker processes (default: one per CPU, 2..4; "
-            "clamped to the number of missing items)",
-        )
-        q.add_argument(
-            "--ttl",
-            type=float,
-            default=60.0,
-            help="seconds before a foreign claim counts as stale and "
-            "may be stolen (default: 60; dead-pid claims on this host "
-            "are stolen immediately)",
-        )
-        q.add_argument(
-            "--timeout",
-            type=float,
-            default=None,
-            help="overall deadline in seconds (default: none)",
-        )
-    q = fsub.add_parser(
-        "status", help="print the run directory's JSON progress snapshot"
-    )
-    q.add_argument("dir", help="run directory holding a manifest")
-    run_like.append(q)
-    q = fsub.add_parser(
-        "merge",
-        help="fold the results spool into submission-ordered results",
-    )
-    q.add_argument("dir", help="run directory holding a manifest")
-    q.add_argument(
-        "--json",
-        metavar="OUT.json",
-        help="write the merged, submission-ordered results as JSON",
-    )
-    run_like.append(q)
-    for q in run_like:
-        q.add_argument(
-            "--ledger",
-            metavar="PATH",
-            help="run-ledger JSONL file for the provenance row "
-            "(default: $REPRO_LEDGER or benchmarks/out/ledger.jsonl)",
-        )
-        _add_obs_flags(q)
-        q.set_defaults(func=cmd_fabric)
 
     p = sub.add_parser(
         "serve",

@@ -23,9 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from repro.cfg.liveness import Liveness, compute_liveness
+from repro.cfg.liveness import (
+    Liveness,
+    compute_liveness,
+    compute_liveness_reference,
+)
 from repro.cfg.nsr import NsrInfo, compute_nsr
-from repro.cfg.webs import rename_webs
+from repro.cfg.webs import rename_webs, rename_webs_reference
 from repro.igraph.interference import InterferenceGraphs, build_interference
 from repro.ir.operands import Reg
 from repro.ir.program import Program
@@ -192,15 +196,30 @@ def analyze_thread(program: Program) -> ThreadAnalysis:
     downstream artifacts (contexts, rewritten code) refer to the renamed
     program available as ``analysis.program``.
 
-    Implementation dispatch happens inside :func:`compute_liveness`
-    (``REPRO_ANALYSIS`` / ``--analysis-impl``): a dense-built liveness
-    carries a bitmask payload, and this function then finishes the
-    bundle with the bitset kernels of :mod:`repro.core.dense`; otherwise
-    the reference set-based construction below runs.  Both produce
+    Implementation dispatch happens inside :func:`rename_webs` and
+    :func:`compute_liveness` (``REPRO_ANALYSIS`` / ``--analysis-impl``):
+    a dense-built liveness carries a bitmask payload, and the bundle is
+    then finished with the bitset kernels of :mod:`repro.core.dense`;
+    otherwise the reference set-based construction runs.  Both produce
     bit-identical analyses, iteration orders included.
     """
     program = rename_webs(program)
-    liveness = compute_liveness(program)
+    return _finish_analysis(program, compute_liveness(program))
+
+
+def analyze_thread_reference(program: Program) -> ThreadAnalysis:
+    """Set-based :func:`analyze_thread`, whatever the process default is.
+
+    Callers that must not trust the dense kernels (the analysis cache's
+    ``analysis.dense_to_reference`` fallback) call it directly instead
+    of swapping the process-wide default under concurrent threads.
+    """
+    program = rename_webs_reference(program)
+    return _finish_analysis(program, compute_liveness_reference(program))
+
+
+def _finish_analysis(program: Program, liveness: Liveness) -> ThreadAnalysis:
+    """The bundle after liveness, built by the kernels that built it."""
     nsr = compute_nsr(liveness)
     graphs = build_interference(liveness, nsr)
     if getattr(liveness, "_dense", None) is not None:

@@ -48,7 +48,11 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.analysis import ThreadAnalysis, analyze_thread
+from repro.core.analysis import (
+    ThreadAnalysis,
+    analyze_thread,
+    analyze_thread_reference,
+)
 from repro.core.bounds import Bounds, estimate_bounds
 from repro.errors import InjectedFault
 from repro.ir.program import Program
@@ -108,14 +112,13 @@ def _analyze_resilient(program: Program) -> ThreadAnalysis:
 
     When the process default is the dense bitset kernels and they raise
     (or the ``analysis.dense`` fault site fires), the program is
-    re-analyzed once with the set-based reference implementation --
-    bit-identical by construction -- and the rung is recorded.  Under
-    the reference implementation failures propagate unchanged.
+    re-analyzed once with :func:`analyze_thread_reference` --
+    bit-identical by construction -- and the rung is recorded.  The
+    process default is left alone, so concurrent analyses keep the dense
+    kernels.  Under the reference implementation failures propagate
+    unchanged.
     """
-    from repro.core.dense import (
-        get_default_analysis_impl,
-        set_default_analysis_impl,
-    )
+    from repro.core.dense import get_default_analysis_impl
 
     impl = get_default_analysis_impl()
     try:
@@ -134,11 +137,7 @@ def _analyze_resilient(program: Program) -> ThreadAnalysis:
             reason=f"{type(exc).__name__}: {exc}",
             program=program.name,
         )
-        previous = set_default_analysis_impl("reference")
-        try:
-            return analyze_thread(program)
-        finally:
-            set_default_analysis_impl(previous)
+        return analyze_thread_reference(program)
 
 
 def _analyze_worker(program: Program) -> Tuple[ThreadAnalysis, Bounds]:

@@ -136,17 +136,6 @@ class RequestRejected(ServiceError):
         )
 
 
-class FabricError(ReproError):
-    """A fabric run directory is unusable or incomplete.
-
-    Raised by :mod:`repro.fabric` when a run directory's manifest does
-    not match the sweep being executed (different items, parameters, or
-    code-version salt), when its spool is missing items at merge time,
-    or when the on-disk state is structurally damaged.  Infrastructure
-    failures only -- a worker ``fn`` raising propagates as itself.
-    """
-
-
 class VerificationError(ReproError):
     """The independent allocation verifier rejected an outcome.
 

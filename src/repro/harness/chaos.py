@@ -179,42 +179,6 @@ def _body_sweep(ctx: _Ctx) -> None:
         )
 
 
-def _body_fabric(ctx: _Ctx) -> None:
-    """Kill a fabric worker mid-item, then resume the run directory.
-
-    The armed ``fabric.item`` fault raises *after the claim, before the
-    execution* -- a worker dying mid-item, claim left on disk.  The
-    resume (same pid, so never dead-pid stale) must reap that claim
-    through ttl expiry, execute exactly the complement, and merge to
-    the serial answer.
-    """
-    import pathlib
-
-    from repro import fabric
-
-    items = list(range(6))
-    serial = [x * x for x in items]
-    root = pathlib.Path(ctx.tmp_dir) / "fabric"
-    run = fabric.RunDir.plan(root, _sweep_worker, items, label="chaos-fabric")
-    try:
-        fabric.execute(run, fn=_sweep_worker, workers=1)
-    except InjectedFault:
-        pass  # the injected worker death; its claim is still on disk
-    else:
-        raise InjectedFault("fabric.item crash fault never fired")
-    done_before = len(run.completed_ids())
-    # ttl=0: any claim age counts as expired, so the orphaned claim is
-    # stolen immediately instead of waiting out a real ttl.
-    fabric.execute(run, fn=_sweep_worker, workers=1, ttl=0.0)
-    if len(run.completed_ids()) - done_before != len(items) - done_before:
-        raise InjectedFault("fabric resume did not complete the spool")
-    got = fabric.merge_results(run)
-    if got != serial:
-        raise InjectedFault(
-            f"fabric resume returned corrupted results: {got}"
-        )
-
-
 def _body_sim(ctx: _Ctx) -> None:
     """Allocated paranoid run with simulator faults armed, compared
     against a fault-free oracle; divergence becomes a typed error."""
@@ -473,15 +437,6 @@ SCENARIOS: Tuple[Scenario, ...] = (
         specs=(FaultSpec("sweep.pool", mode="hang", count=1),),
         expect="masked",
         body=_body_sweep,
-    ),
-    Scenario(
-        name="fabric-worker-crash",
-        description="a fabric worker dies mid-item leaving its claim; "
-        "resume steals the stale claim and completes exactly the "
-        "complement with serial-identical results",
-        specs=(FaultSpec("fabric.item", mode="crash", count=1),),
-        expect="masked",
-        body=_body_fabric,
     ),
     Scenario(
         name="sim-stuck",

@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from typing import Callable, List, Optional, Sequence, TypeVar, Union
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.obs import events as obs
 from repro.obs import metrics as obs_metrics
@@ -97,39 +97,19 @@ def _note_fallback(label: str, reason: str, missing: int) -> None:
         obs_metrics.registry().counter("sweep.fallback").inc()
 
 
-class _TelemetryTask:
-    """Picklable worker wrapper that ships telemetry back to the parent.
-
-    Child processes start with a fresh (empty, disabled) telemetry
-    state, so whatever a worker records would normally die with the
-    worker.  When the parent has an active emitter, :func:`sweep_map`
-    wraps ``fn`` in this task: the child runs under its own scoped
-    registry **and** an active capture emitter -- so the worker takes
-    the same instrumented code paths the parent would serially (engine
-    auto-selection included) -- and returns ``(result, snapshot)``.
-    The parent merges the snapshot into its own registry labeled by
-    sweep and item index (``{sweep="...",item="N"}``).
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[T], R]):
-        self.fn = fn
-
-    def __call__(self, item: T):
-        with obs_metrics.scoped() as reg, obs.capture():
-            result = self.fn(item)
-        return result, reg.snapshot()
-
-
 class _ChunkTask:
     """Picklable wrapper running a whole *chunk* of items in one worker.
 
     Chunked submission amortizes pickle/IPC overhead: one future per
-    chunk instead of one per item.  Telemetry stays **per item** -- each
-    item runs under its own scoped registry + capture, exactly like
-    :class:`_TelemetryTask`, so the parent-side merge labels are
-    indistinguishable from unchunked submission.
+    chunk instead of one per item.  Child processes start with a fresh
+    (empty, disabled) telemetry state, so whatever a worker records would
+    normally die with the worker.  When the parent has an active emitter,
+    each item runs under its own scoped registry **and** an active
+    capture emitter -- so the worker takes the same instrumented code
+    paths the parent would serially (engine auto-selection included) --
+    and comes back as ``(result, snapshot)``.  The parent merges each
+    snapshot into its own registry labeled by sweep and item index
+    (``{sweep="...",item="N"}``), whatever the chunk size.
     """
 
     __slots__ = ("fn", "telemetry")
@@ -171,73 +151,10 @@ def _fire_pool_fault() -> None:
     raise BrokenProcessPool("injected pool crash")
 
 
-def _fabric_sweep(
-    fn: Callable[[T], R],
-    items: List[T],
-    label: str,
-    route: tuple,
-    timeout: Optional[float],
-) -> List[R]:
-    """Run one sweep through :mod:`repro.fabric`, with serial fallback.
-
-    Fabric *infrastructure* failures (unusable run dir, deadline, a
-    foreign worker holding the tail) degrade exactly like a broken
-    pool: items already spooled keep their results, only the missing
-    complement reruns serially -- and the serial results are spooled
-    back best-effort so the run directory still converges.  Genuine
-    ``fn`` errors re-raise, as serially.
-    """
-    from pathlib import Path
-
-    from repro import fabric
-    from repro.errors import DeadlineExceeded, FabricError
-
-    root, workers = route
-    run = None
-    manifest = None
-    try:
-        manifest = fabric.build_manifest(fn, items, label=label)
-        run = fabric.RunDir.plan(
-            Path(root) / f"{label}-{manifest.manifest_id[:12]}",
-            fn,
-            items,
-            label=label,
-            manifest=manifest,
-        )
-        fabric.execute(run, fn=fn, workers=workers, timeout=timeout)
-        return fabric.merge_results(run)
-    except (FabricError, OSError, DeadlineExceeded) as exc:
-        reason = f"{type(exc).__name__}: {exc}"
-        results: List[Optional[R]] = [None] * len(items)
-        done = [False] * len(items)
-        if run is not None:
-            try:
-                results, done = fabric.partial_results(run)
-            except (FabricError, OSError):
-                pass
-        missing = [i for i, ok in enumerate(done) if not ok]
-        _note_fallback(label, reason, len(missing))
-        for i in missing:
-            results[i] = fn(items[i])
-            if run is None or manifest is None:
-                continue
-            entry = manifest.items[i]
-            if "alias_of" in entry:
-                continue
-            try:
-                run.write_result(
-                    entry["id"], i, results[i], worker="serial-fallback",
-                    seconds=0.0,
-                )
-            except (OSError, FabricError, TypeError, ValueError):
-                pass  # the answer is in hand; durability is best-effort
-        return list(results)  # type: ignore[arg-type]
-
-
 def sweep_map(
     fn: Callable[[T], R],
     items: Sequence[T],
-    jobs: Union[int, str] = 1,
+    jobs: int = 1,
     label: str = "sweep",
     timeout: Optional[float] = None,
     chunksize: Optional[int] = None,
@@ -248,24 +165,13 @@ def sweep_map(
     order, so a parallel sweep is positionally indistinguishable from
     the serial one.  See the module docstring for the fallback rules.
 
-    ``jobs="fabric"`` (or any ``jobs > 1`` while a fabric root is
-    configured, see :func:`repro.fabric.set_fabric`) routes the sweep
-    through the durable :mod:`repro.fabric` instead of an ephemeral
-    pool.  ``chunksize`` groups items per pool submission
-    (default heuristic ``max(1, len(items) // (jobs * 4))``) to cut
-    pickle/IPC overhead on large fine-grained sweeps; order, telemetry
-    labels, and fallback semantics are unchanged.
+    ``chunksize`` groups items per pool submission (default heuristic
+    ``max(1, len(items) // (jobs * 4))``) to cut pickle/IPC overhead on
+    large fine-grained sweeps; order, telemetry labels, and fallback
+    semantics are the same for every chunk size.
     """
     items = list(items)
-    if len(items) > 1 and (
-        jobs == "fabric" or (isinstance(jobs, int) and jobs > 1)
-    ):
-        from repro import fabric
-
-        route = fabric.resolve(jobs)
-        if route is not None:
-            return _fabric_sweep(fn, items, label, route, timeout)
-    if not isinstance(jobs, int) or jobs <= 1 or len(items) <= 1:
+    if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     results: List[Optional[R]] = [None] * len(items)
     done = [False] * len(items)
@@ -278,41 +184,27 @@ def sweep_map(
         return [fn(item) for item in items]
 
     # With an active parent emitter, ship each worker's metrics home
-    # (see _TelemetryTask / _ChunkTask); the serial fallback path below
-    # calls the bare ``fn``, which records into the parent registry
-    # directly.
+    # (see _ChunkTask); the serial fallback path below calls the bare
+    # ``fn``, which records into the parent registry directly.
     telemetry = obs.get_emitter().enabled
     if chunksize is None:
         chunksize = max(1, len(items) // (jobs * 4))
     chunksize = max(1, chunksize)
-    chunked = chunksize > 1
-    if chunked:
-        task: Callable = _ChunkTask(fn, telemetry)
-        units = [
-            (start, items[start : start + chunksize])
-            for start in range(0, len(items), chunksize)
-        ]
-    else:
-        task = _TelemetryTask(fn) if telemetry else fn
-        units = [(i, item) for i, item in enumerate(items)]
+    task = _ChunkTask(fn, telemetry)
+    units = [
+        (start, items[start : start + chunksize])
+        for start in range(0, len(items), chunksize)
+    ]
 
-    def harvest(i: int, raw) -> None:
-        if done[i]:
-            return  # never double-merge telemetry for a harvested item
-        if telemetry:
-            result, snap = raw
-            _merge_worker_snapshot(label, i, snap)
-            results[i] = result
-        else:
-            results[i] = raw
-        done[i] = True
-
-    def harvest_unit(start: int, raw) -> None:
-        if chunked:
-            for offset, payload in enumerate(raw):
-                harvest(start + offset, payload)
-        else:
-            harvest(start, raw)
+    def harvest_unit(start: int, raw: list) -> None:
+        for i, payload in enumerate(raw, start):
+            if done[i]:
+                continue  # never double-merge telemetry for an item
+            if telemetry:
+                payload, snap = payload
+                _merge_worker_snapshot(label, i, snap)
+            results[i] = payload
+            done[i] = True
 
     pool = None
     futures: dict = {}

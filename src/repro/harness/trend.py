@@ -44,7 +44,6 @@ WATCHED: Dict[str, str] = {
     "alloc.descent_speedup": "higher",  # shared descent vs per-budget
     "analysis.speedup": "higher",       # dense analysis vs reference
     "analysis.e2e_speedup": "higher",   # dense cold end-to-end
-    "fabric.speedup": "higher",         # durable fabric vs cold serial
     "table1.cycles_per_iter": "lower",  # suite-total simulated cycles/iter
     "table2.total_moves": "lower",      # allocator move instructions
     "table2.max_overhead": "lower",     # worst per-kernel move overhead
@@ -57,8 +56,7 @@ def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
     """Extract the watched scalar metrics from one bench's ``data``.
 
     ``bench`` is the artifact name (``perf``, ``alloc``, ``analysis``,
-    ``fabric``, ``table1``, ``table2``, ``table3`` or ``table3_<pair>``,
-    ``fig14``);
+    ``table1``, ``table2``, ``table3`` or ``table3_<pair>``, ``fig14``);
     ``data`` the same payload that goes into ``BENCH_<name>.json``.
     Unknown benches (the ablations) yield ``{}`` -- they are explored,
     not gated.
@@ -85,11 +83,6 @@ def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
         elif bench == "analysis":
             out["analysis.speedup"] = float(data["analysis_speedup"])
             out["analysis.e2e_speedup"] = float(data["e2e_speedup"])
-        elif bench == "fabric":
-            # A fabric whose merged summaries diverged from serial has
-            # a meaningless speedup; report nothing, like the descent.
-            if data["identical"]:
-                out["fabric.speedup"] = float(data["fabric_speedup"])
         elif bench == "table1":
             out["table1.cycles_per_iter"] = float(
                 sum(row["cycles_per_iter"] for row in data)

@@ -34,11 +34,6 @@ site                   where / what
 ``sweep.pool``         :func:`repro.harness.sweep.sweep_map` result
                        harvesting; mode ``crash`` breaks the pool, mode
                        ``hang`` simulates a worker that never returns
-``fabric.item``        :mod:`repro.fabric.worker`, between claiming an
-                       item and executing it; mode ``crash`` raises
-                       :class:`~repro.errors.InjectedFault` *leaving
-                       the claim in place* -- a worker killed mid-item,
-                       reaped later by stale-claim expiry
 ``pipeline.analyze``   :func:`repro.core.pipeline.allocate_programs`
                        analyze phase; mode ``transient`` raises
                        :class:`~repro.errors.TransientError`

@@ -223,7 +223,7 @@ def backoff_delays(
     scale-*down* direction means a jittered schedule never waits longer
     than the deterministic one, only decorrelates callers that would
     otherwise retry in lockstep against a shared resource (the service's
-    admission queue, the fabric's claim files).
+    admission queue).
 
     Jitter is deterministic and seedable: pass an explicit
     ``random.Random`` to control the stream, or let the default derive a

@@ -39,9 +39,9 @@ Response envelope (``schema: repro.service/1``)::
 
 The **request key** is a sha256 over the program fingerprints
 (:meth:`repro.ir.program.Program.fingerprint`) and the canonical
-options -- the same content-addressing discipline as the analysis cache
-and the fabric manifest.  Two textually different requests for the same
-programs and options share one key, hence one in-flight execution
+options -- the same content-addressing discipline as the analysis
+cache.  Two textually different requests for the same programs and
+options share one key, hence one in-flight execution
 (:mod:`repro.service.coalesce`) and one result-store entry
 (:mod:`repro.service.store`).
 

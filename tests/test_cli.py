@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from tests.conftest import MINI_KERNEL
 
 
@@ -82,6 +82,23 @@ def test_library_errors_exit_2_without_traceback(kernel_file, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fabric", "status", "DIR"],
+        ["bench", "fabric"],
+        ["profile", "--fabric", "DIR", "bench:crc"],
+    ],
+    ids=["fabric-command", "bench-fabric", "fabric-flag"],
+)
+def test_removed_fabric_surface_is_a_usage_error(argv, tmp_path, capsys):
+    argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_encode_requires_physical(kernel_file, capsys):

@@ -261,6 +261,33 @@ def test_injected_disk_faults_are_recoverable(tmp_path):
         assert got.slots == want.slots
 
 
+def test_dense_fallback_keeps_the_process_default(monkeypatch):
+    # Service worker threads share the process-wide analysis default, so
+    # the dense-to-reference fallback must re-analyse without setting it.
+    from repro.core import dense
+    from repro.harness.analysisperf import analysis_digest
+    from repro.resilience import faults, guard
+    from repro.resilience.faults import FaultSpec
+    from repro.suite.registry import load
+
+    monkeypatch.setattr(dense, "_default_impl", "dense")
+
+    def refuse(name):
+        raise RuntimeError(f"process-wide analysis default set to {name!r}")
+
+    monkeypatch.setattr(dense, "set_default_analysis_impl", refuse)
+    program = load("crc")
+    with guard.watching() as degs:
+        with faults.inject(
+            FaultSpec("analysis.dense", mode="error", count=1)
+        ) as plan:
+            got = AnalysisCache().analyze(program)
+    assert plan.fired_at("analysis.dense")
+    assert [d.rung for d in degs] == ["analysis.dense_to_reference"]
+    assert got.dense is None  # built by the reference kernels
+    assert analysis_digest(got) == analysis_digest(analyze_thread(program))
+
+
 def test_persistent_disk_failures_degrade_to_memory(tmp_path):
     from repro.resilience import guard
 

@@ -52,6 +52,10 @@ def test_watched_from_bench_tolerates_unknown_and_malformed():
     assert trend.watched_from_bench("ablation", {"whatever": 1}) == {}
     assert trend.watched_from_bench("perf", {"rows": []}) == {}
     assert trend.watched_from_bench("table1", [{"wrong_key": 1}]) == {}
+    # A stale BENCH file or ledger row of a removed bench is not watched.
+    assert trend.watched_from_bench(
+        "fabric", {"identical": True, "fabric_speedup": 2.48}
+    ) == {}
 
 
 def test_every_watched_metric_has_a_direction():

@@ -1,10 +1,7 @@
 """Tests for execution tracing."""
 
-import pytest
-
 from repro.ir.parser import parse_program
 from repro.sim.machine import Machine
-from repro.sim.trace import format_trace, thread_slices
 
 
 def traced_machine():
@@ -27,43 +24,3 @@ def test_trace_cycles_strictly_increase():
     cycles = [c for c, *_ in machine.trace_log]
     assert cycles == sorted(cycles)
     assert len(set(cycles)) == len(cycles)
-
-
-def test_slices_show_round_robin():
-    machine = traced_machine()
-    order = [tid for tid, _, _ in thread_slices(machine)]
-    assert order == [0, 1, 0, 1]
-
-
-def test_format_trace_columns():
-    machine = traced_machine()
-    text = format_trace(machine)
-    assert "alpha" in text and "beta" in text
-    assert "movi %x, 1" in text
-    # one header + one rule + one line per instruction
-    assert len(text.splitlines()) == 2 + 8
-
-
-def test_format_trace_limit():
-    machine = traced_machine()
-    text = format_trace(machine, limit=3)
-    assert "more entries" in text
-
-
-def test_format_trace_limit_zero_shows_no_entries():
-    machine = traced_machine()
-    text = format_trace(machine, limit=0)
-    # header + rule + the "more entries" line, no instruction rows
-    assert "movi" not in text
-    assert "8 more entries" in text
-    assert len(text.splitlines()) == 3
-
-
-def test_untraced_machine_rejected():
-    p = parse_program("halt\n", "t")
-    machine = Machine([p])
-    machine.run()
-    with pytest.raises(ValueError):
-        format_trace(machine)
-    with pytest.raises(ValueError):
-        thread_slices(machine)
