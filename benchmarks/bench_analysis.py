@@ -4,14 +4,13 @@ Run with::
 
     pytest benchmarks/bench_analysis.py --benchmark-only -s
 
-Every suite kernel is analyzed under both implementations (best of 3),
-then the full allocation grid runs end-to-end with a cold cache under
-each.  The table (also written to ``benchmarks/out/analysis.txt`` and
+Every suite kernel is analyzed by both implementations (best of 3).
+The table (also written to ``benchmarks/out/analysis.txt`` and
 ``benchmarks/out/BENCH_analysis.json``) reports per-kernel analysis
-timings and the two aggregate speedups.  The run aborts unless the
-per-kernel analysis digests and the end-to-end allocation summaries are
-identical across implementations -- speed never comes at the cost of
-fidelity.
+timings and the aggregate speedup.  The run aborts unless the
+per-kernel analysis digests are identical across implementations --
+speed never comes at the cost of fidelity.  Whole allocations on the
+two implementations are compared in ``tests/test_dense.py``.
 """
 
 from benchmarks._util import publish
@@ -23,9 +22,7 @@ def test_analysis(benchmark):
         lambda: run_analysis_bench(), rounds=1, iterations=1
     )
     assert report.digests_identical, "analysis digests diverged"
-    assert report.e2e_identical, "cold allocation summaries diverged"
     # The CI smoke gate (3 kernels) is 2x; the full suite on an unloaded
     # machine lands near 5x for the analysis stage.
     assert report.analysis_speedup >= 3.0
-    assert report.e2e_speedup >= 1.5
     publish("analysis", render_analysis(report), data=report.to_dict())

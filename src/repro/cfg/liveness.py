@@ -23,15 +23,15 @@ defined by it: ``live_out(csb) - defs(csb)``.  A ``load`` destination is
 register and only reaches the GPR when the thread resumes (footnote 3 of
 the paper).
 
-Two implementations compute the same facts: the reference set-based
-worklist (:func:`compute_liveness_reference`), and the bitset kernel in
-:mod:`repro.core.dense` (``live_in``/``live_out`` as big-int masks,
-frozensets materialized only at this API boundary).
-:func:`compute_liveness` is the single switch point -- it consults the
-process-wide implementation registry (``REPRO_ANALYSIS`` /
-``--analysis-impl``) and the dense variant attaches its mask payload as
-``Liveness._dense``, which downstream passes key off so one analysis
-never mixes implementations.  Results are bit-identical either way.
+Two implementations compute the same facts.  :func:`compute_liveness`
+runs the bitset kernel in :mod:`repro.core.dense` (``live_in``/
+``live_out`` as big-int masks, frozensets materialized only at this API
+boundary) and attaches its mask payload as ``Liveness._dense``, which
+downstream passes key off so one analysis never mixes implementations.
+:func:`compute_liveness_reference` is the set-based worklist, called by
+name where the dense kernels must not be trusted (the verifier, the
+analysis cache's fallback, the differential tests).  Results are
+bit-identical either way.
 """
 
 from __future__ import annotations
@@ -118,27 +118,21 @@ class Liveness:
 
 
 def compute_liveness(program: Program) -> Liveness:
-    """Liveness of ``program`` under the process-default implementation.
+    """Liveness of ``program`` by the bitset fixpoint.
 
-    This is the implementation switch point: when the process default
-    (see :mod:`repro.core.dense`) is ``dense``, the bitset fixpoint runs
-    instead of :func:`compute_liveness_reference`.  Both produce
-    bit-identical :class:`Liveness` facts.
+    Bit-identical to :func:`compute_liveness_reference`; the result
+    carries the dense mask payload (see :mod:`repro.core.dense`).
     """
-    from repro.core.dense import analysis_is_dense
+    from repro.core.dense import compute_liveness_dense
 
-    if analysis_is_dense():
-        from repro.core.dense import compute_liveness_dense
-
-        return compute_liveness_dense(program)
-    return compute_liveness_reference(program)
+    return compute_liveness_dense(program)
 
 
 def compute_liveness_reference(program: Program) -> Liveness:
     """Run the set-based backward worklist analysis over ``program``.
 
-    The reference implementation, whatever the process default is;
-    checks that must not trust the dense kernels call it directly.
+    The reference implementation; checks that must not trust the dense
+    kernels call it directly.
     """
     n = len(program.instrs)
     defs: List[FrozenSet[Reg]] = []

@@ -11,6 +11,11 @@ maximal def/use groups connected through reaching definitions -- and gives
 each web a distinct name (``t``, ``t.w1``, ``t.w2``, ...).  Renaming is
 semantics-preserving and idempotent; it runs automatically at the front of
 :func:`repro.core.analysis.analyze_thread`.
+
+:func:`rename_webs` runs reaching definitions as a bitmask fixpoint.
+:func:`rename_webs_reference` is its set-based twin, called by name from
+:func:`repro.core.analysis.analyze_thread_reference`; both produce the
+same renamed program.
 """
 
 from __future__ import annotations
@@ -141,25 +146,8 @@ def _name_and_replace(
                 replace[(i, pos)] = name_for(uf.find(use_webs[i]))
 
 
-def rename_webs(program: Program) -> Program:
-    """Return a copy of ``program`` with every web distinctly named.
-
-    When the dense analysis kernels are the process default (see
-    :mod:`repro.core.dense`), reaching definitions run as a bitmask
-    fixpoint with all def/use sites gathered in one program sweep; the
-    renamed program is identical either way (the web partition and the
-    deterministic naming do not depend on how reaching sets are
-    represented).
-    """
-    from repro.core.dense import analysis_is_dense
-
-    if analysis_is_dense():
-        return _rename_webs_dense(program)
-    return rename_webs_reference(program)
-
-
 def rename_webs_reference(program: Program) -> Program:
-    """Set-based :func:`rename_webs`, whatever the process default is.
+    """Set-based :func:`rename_webs`.
 
     The reference implementation; the analysis fallback that must not
     trust the dense kernels calls it directly.
@@ -266,8 +254,8 @@ def _reaching_defs_dense(
     return reach_in
 
 
-def _rename_webs_dense(program: Program) -> Program:
-    """Mask-based :func:`rename_webs`.
+def rename_webs(program: Program) -> Program:
+    """Return a copy of ``program`` with every web distinctly named.
 
     One sweep gathers every variable's def and use sites (the reference
     path re-scans the program per variable, re-deriving operand tuples

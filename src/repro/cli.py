@@ -19,7 +19,7 @@ Commands:
 ``encode FILE [-o OUT]``
     Assemble an allocated (physical-register) program to 64-bit machine
     words (hex, one per line).
-``bench {table1,table2,table3,fig14,perf,alloc,analysis,trend} [--engine E]``
+``bench {table1,table2,table3,fig14,perf,alloc,analysis,trend}``
     Regenerate one of the paper's tables/figures, or the engine
     (``perf``) / allocation-pipeline (``alloc``, including the
     shared-descent budget sweep: one Figure-8 descent per kernel
@@ -33,11 +33,11 @@ Commands:
     speedup, analysis speedup, cycle counts) regressed beyond the
     noise-aware ``--threshold`` percentage.
 
-``run``, ``profile``, ``bench``, and ``chaos`` accept ``--engine
-{auto,fast,reference}`` to pick the execution engine
-(``docs/PERFORMANCE.md``); the default ``auto`` uses the pre-decoded
-fast engine except for runs needing reference-only features (tracing,
-timelines, the paranoid checker, an active telemetry capture).
+``run`` and ``profile`` accept ``--engine {auto,fast,reference}`` to
+pick the execution engine (``docs/PERFORMANCE.md``); the default
+``auto`` uses the pre-decoded fast engine except for runs needing
+reference-only features (tracing, timelines, the paranoid checker, an
+active telemetry capture).
 Flags that force a reference-only feature (e.g. ``run --allocated``)
 reject ``--engine fast`` with an error naming the forcing flag.
 Library errors (:class:`~repro.errors.ReproError`, e.g. an
@@ -47,12 +47,6 @@ analysis workers) and ``--cache-dir DIR`` (persist the analysis cache
 on disk, also settable via ``REPRO_CACHE_DIR``); both default to the
 serial, in-memory behavior.  See "Allocator performance" in
 ``docs/PERFORMANCE.md``.
-``analyze``, ``allocate``, ``profile``, and ``bench`` accept
-``--analysis-impl {dense,reference}`` to pick the analysis kernel
-implementation ("Cold-path analysis kernel" in
-``docs/PERFORMANCE.md``); results are bit-identical either way, so the
-flag exists for benchmarking and differential testing.  The default is
-``dense``, or ``$REPRO_ANALYSIS`` when set.
 ``chaos [--kernels a,b,c] [--scenarios x,y] [--seed N] [--json OUT]``
     Run the fault-injection chaos harness (``docs/ROBUSTNESS.md``):
     every scenario must end masked-by-policy or as a typed error, with
@@ -169,7 +163,6 @@ def _telemetry(args: argparse.Namespace) -> Iterator[None]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _apply_analysis_impl(args)
     for spec in args.files:
         program = _load_program(spec)
         with obs.span("analyze", program=program.name):
@@ -203,7 +196,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
-    _apply_analysis_impl(args)
     programs = _load_all(args.files)
     outcome = allocate_programs(programs, nreg=args.nreg)
     print(outcome.summary())
@@ -267,7 +259,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profile import profile_programs, render_report
 
     _apply_cache_dir(args)
-    _apply_analysis_impl(args)
     programs = _load_all(args.files)
     report = profile_programs(
         programs,
@@ -397,11 +388,7 @@ def _append_bench_ledger(args: argparse.Namespace, data) -> None:
     row = ledger.make_row(
         args.experiment,
         watched,
-        config={
-            "engine": args.engine,
-            "jobs": args.jobs,
-            "analysis_impl": getattr(args, "analysis_impl", None),
-        },
+        config={"jobs": args.jobs},
         fingerprints=_suite_fingerprints(),
         ts=time.time(),
     )
@@ -445,22 +432,10 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.sim.engine import set_default_engine
-
     if args.experiment == "trend":
         return _cmd_bench_trend(args)
-    # Harness-wide engine preference: the harnesses call run_threads()
-    # many times without an explicit engine, so route the choice
-    # through the process default (restored on the way out).  Runs that
-    # need a reference-only feature (e.g. the paranoid checker) fall
-    # back per-run with a warning instead of aborting the sweep.
     _apply_cache_dir(args)
-    _apply_analysis_impl(args)
-    previous = set_default_engine(args.engine)
-    try:
-        text, data = _run_bench_experiment(args)
-    finally:
-        set_default_engine(previous)
+    text, data = _run_bench_experiment(args)
     print(text)
     _append_bench_ledger(args, data)
     return 0
@@ -468,23 +443,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.harness.chaos import render_chaos, run_chaos
-    from repro.sim.engine import set_default_engine
 
     kernels = [k for k in args.kernels.split(",") if k]
     scenarios = (
         [s for s in args.scenarios.split(",") if s] if args.scenarios else None
     )
-    # Campaign-wide engine preference, like ``bench``: scenario bodies
-    # that pin the reference engine (the differential oracles) keep it;
-    # everything else follows the flag.
-    previous = set_default_engine(args.engine)
     try:
         report = run_chaos(kernels=kernels, scenarios=scenarios, seed=args.seed)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        set_default_engine(previous)
     print(render_chaos(report))
     if args.json:
         from repro.obs.export import write_json
@@ -584,36 +552,10 @@ def _add_perf_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _apply_analysis_impl(args: argparse.Namespace) -> None:
-    """Set the process-default analysis implementation from the flag.
-
-    A CLI process runs one command and exits, so (like ``--cache-dir``)
-    the default is not restored afterwards; the benchmark harnesses that
-    flip implementations internally save and restore it themselves.
-    """
-    impl = getattr(args, "analysis_impl", None)
-    if impl:
-        from repro.core.dense import set_default_analysis_impl
-
-        set_default_analysis_impl(impl)
-
-
-def _add_analysis_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--analysis-impl",
-        choices=["dense", "reference"],
-        dest="analysis_impl",
-        help="analysis kernel implementation: 'dense' is the bitset "
-        "fast path, 'reference' the set-based construction; results "
-        "are bit-identical (default: dense, or $REPRO_ANALYSIS)",
-    )
-
-
 def _add_engine_flag(p: argparse.ArgumentParser) -> None:
-    """The one shared ``--engine`` definition for every subparser that
-    runs the simulator (``run``/``profile``/``bench``/``chaos``); the
-    choice list comes straight from the engine registry, so a new
-    engine is a one-line registry change, not four parser edits."""
+    """The one shared ``--engine`` definition for the subparsers that
+    run the simulator per call (``run``/``profile``); the choice list
+    comes straight from the engine registry."""
     p.add_argument(
         "--engine",
         choices=list(ENGINES),
@@ -680,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--nsr", action="store_true", help="print the NSR-annotated listing"
     )
-    _add_analysis_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -688,7 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--nreg", type=int, default=128)
     p.add_argument("-o", "--output", help="directory for rewritten assembly")
-    _add_analysis_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_allocate)
 
@@ -718,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", metavar="OUT.json", help="write the report as JSON")
     _add_engine_flag(p)
-    _add_analysis_flag(p)
     _add_perf_flags(p)
     p.set_defaults(func=cmd_profile)
 
@@ -757,8 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
         "register budget, vs one fresh allocation per budget -- see "
         "docs/PERFORMANCE.md, 'Shared-descent budget sweeps')",
     )
-    _add_engine_flag(p)
-    _add_analysis_flag(p)
     _add_obs_flags(p)
     _add_perf_flags(p)
     p.add_argument(
@@ -807,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--json", metavar="OUT.json", help="write the chaos report as JSON"
     )
-    _add_engine_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_chaos)
 

@@ -196,23 +196,21 @@ def analyze_thread(program: Program) -> ThreadAnalysis:
     downstream artifacts (contexts, rewritten code) refer to the renamed
     program available as ``analysis.program``.
 
-    Implementation dispatch happens inside :func:`rename_webs` and
-    :func:`compute_liveness` (``REPRO_ANALYSIS`` / ``--analysis-impl``):
-    a dense-built liveness carries a bitmask payload, and the bundle is
-    then finished with the bitset kernels of :mod:`repro.core.dense`;
-    otherwise the reference set-based construction runs.  Both produce
-    bit-identical analyses, iteration orders included.
+    Built by the bitset kernels of :mod:`repro.core.dense`: the
+    liveness carries a bitmask payload and the bundle is finished from
+    it.  :func:`analyze_thread_reference` builds the bit-identical
+    analysis, iteration orders included, from the set-based kernels.
     """
     program = rename_webs(program)
     return _finish_analysis(program, compute_liveness(program))
 
 
 def analyze_thread_reference(program: Program) -> ThreadAnalysis:
-    """Set-based :func:`analyze_thread`, whatever the process default is.
+    """Set-based :func:`analyze_thread`.
 
     Callers that must not trust the dense kernels (the analysis cache's
-    ``analysis.dense_to_reference`` fallback) call it directly instead
-    of swapping the process-wide default under concurrent threads.
+    ``analysis.dense_to_reference`` fallback, the differential tests)
+    call it by name.
     """
     program = rename_webs_reference(program)
     return _finish_analysis(program, compute_liveness_reference(program))

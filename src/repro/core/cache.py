@@ -110,28 +110,18 @@ def _analyze_resilient(program: Program) -> ThreadAnalysis:
     """:func:`analyze_thread` behind the ``analysis.dense_to_reference``
     degradation rung.
 
-    When the process default is the dense bitset kernels and they raise
-    (or the ``analysis.dense`` fault site fires), the program is
-    re-analyzed once with :func:`analyze_thread_reference` --
-    bit-identical by construction -- and the rung is recorded.  The
-    process default is left alone, so concurrent analyses keep the dense
-    kernels.  Under the reference implementation failures propagate
-    unchanged.
+    When the dense bitset kernels raise (or the ``analysis.dense`` fault
+    site fires), the program is re-analyzed once with
+    :func:`analyze_thread_reference` -- bit-identical by construction --
+    and the rung is recorded.
     """
-    from repro.core.dense import get_default_analysis_impl
-
-    impl = get_default_analysis_impl()
     try:
-        if impl == "dense" and faults.fire(
-            "analysis.dense", program=program.name
-        ):
+        if faults.fire("analysis.dense", program=program.name):
             raise InjectedFault(
                 f"injected dense-analysis fault for {program.name!r}"
             )
         return analyze_thread(program)
     except Exception as exc:
-        if impl != "dense":
-            raise
         guard.record_degradation(
             "analysis.dense_to_reference",
             reason=f"{type(exc).__name__}: {exc}",

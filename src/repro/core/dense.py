@@ -19,14 +19,17 @@ makes the two implementations bit-identical rather than merely
 equivalent: same :class:`~repro.core.analysis.ThreadAnalysis` contents,
 same allocations, same benchmark JSON.
 
-Implementation selection mirrors :mod:`repro.sim.engine`: the process
-default comes from ``REPRO_ANALYSIS`` (``dense``, the default, or
-``reference``), is changed via :func:`set_default_analysis_impl` (the
-CLI's ``--analysis-impl``), and is consulted once per analysis at
-:func:`repro.cfg.liveness.compute_liveness`.  Everything downstream keys
-off the presence of the :class:`DenseLiveness` payload the dense path
-attaches, so one switch point keeps a whole analysis internally
-consistent.
+The dense kernels are the only path an analysis takes:
+:func:`~repro.cfg.liveness.compute_liveness`,
+:func:`~repro.cfg.webs.rename_webs` and the coloring heuristics call
+them directly.  The set-based reference construction stays, reached
+only by name (:func:`~repro.core.analysis.analyze_thread_reference`,
+``compute_liveness_reference``, ``rename_webs_reference``,
+``dsatur_color_reference``, ``simplify_color_reference``): the tests
+compare against it, and the analysis cache's
+``analysis.dense_to_reference`` fallback re-analyzes with it.
+Everything downstream of liveness keys off the presence of the
+:class:`DenseLiveness` payload, so one analysis never mixes the two.
 
 The conflict kernel encodes the paper's def-vs-dying-use exception (see
 :func:`repro.core.analysis.true_conflict`) as three mask formulas.  For
@@ -44,8 +47,6 @@ bounds and allocations against the reference implementation.
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.cfg.liveness import Liveness
@@ -61,70 +62,25 @@ from repro.ir.operands import Reg
 from repro.ir.program import Program
 
 __all__ = [
-    "ANALYSIS_IMPLS",
-    "ENV_ANALYSIS",
     "DenseAnalysisIndex",
     "DenseLiveness",
     "DenseMap",
-    "analysis_is_dense",
     "build_interference_dense",
     "compute_liveness_dense",
     "finish_analysis_dense",
     "get_default_analysis_impl",
     "mask_of_slots",
     "popcount",
-    "set_default_analysis_impl",
 ]
-
-#: Recognised analysis implementations.
-ANALYSIS_IMPLS = ("dense", "reference")
-
-#: Environment variable consulted once at import for the initial default.
-ENV_ANALYSIS = "REPRO_ANALYSIS"
-
-
-def _check_name(name: str) -> None:
-    if name not in ANALYSIS_IMPLS:
-        raise ValueError(
-            f"unknown analysis implementation {name!r}; expected one of "
-            f"{', '.join(ANALYSIS_IMPLS)}"
-        )
-
-
-def _initial_impl() -> str:
-    name = os.environ.get(ENV_ANALYSIS, "dense")
-    if name not in ANALYSIS_IMPLS:
-        warnings.warn(
-            f"{ENV_ANALYSIS}={name!r} is not one of "
-            f"{', '.join(ANALYSIS_IMPLS)}; using 'dense'",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return "dense"
-    return name
-
-
-_default_impl = _initial_impl()
 
 
 def get_default_analysis_impl() -> str:
-    """The implementation new analyses use (``dense`` or ``reference``)."""
-    return _default_impl
+    """The implementation that builds analyses: always ``"dense"``.
 
-
-def set_default_analysis_impl(name: str) -> str:
-    """Set the process-wide analysis implementation; returns the previous
-    one (so callers can restore it in a ``finally``)."""
-    global _default_impl
-    _check_name(name)
-    previous = _default_impl
-    _default_impl = name
-    return previous
-
-
-def analysis_is_dense() -> bool:
-    """True when the dense kernels are the process default."""
-    return _default_impl == "dense"
+    Kept because ``perfbench/tracer.py`` records it for every analysis
+    to count ``core.analysis.reference_calls``.
+    """
+    return "dense"
 
 
 def mask_of_slots(slots: Iterable[int]) -> int:

@@ -5,7 +5,7 @@ first principles, sharing **no code** with the allocator decisions it
 audits: the layout checks are plain arithmetic over the published
 register windows, the safety check recomputes liveness of the
 *rewritten* programs with the reference set-based worklist (never the
-dense kernels, whatever the process default), and the semantic check is
+dense kernels), and the semantic check is
 a differential run of source vs rewritten programs on the reference
 interpreter with the paranoid checker armed.  The oracle runs execute
 under :func:`repro.resilience.faults.suspended`, so a chaos scenario
@@ -181,8 +181,8 @@ def _check_rewrite(outcome: AllocationOutcome) -> Tuple[Check, Check]:
 
 def _check_csb_private(outcome: AllocationOutcome) -> Check:
     # Recompute liveness of the REWRITTEN programs with the reference
-    # set-based worklist, whatever the process-wide default is: the
-    # invariant check must not trust the kernels under audit.
+    # set-based worklist: the invariant check must not trust the
+    # kernels under audit.
     from repro.cfg.liveness import compute_liveness_reference
 
     a = outcome.assignment

@@ -1,22 +1,17 @@
 """Cold-analysis throughput: the dense bitset kernels vs the reference.
 
-Two measurements over the benchmark suite, each taken once per
-implementation (``repro.core.dense`` registry):
-
-* **analysis stage** -- :func:`~repro.core.analysis.analyze_thread` per
-  kernel, best of ``repeats`` runs, no caching anywhere.  This is the
-  work a cache miss pays (web renaming, liveness, NSRs, interference
-  graphs, the slot/conflict model).
-* **end-to-end cold allocation** -- the :mod:`~repro.harness.allocperf`
-  grid (every kernel at ``nthd`` threads under three budgets from its
-  own bounds) through the public pipeline with a fresh, empty analysis
-  cache, so every point re-analyzes.
+Per suite kernel, :func:`~repro.core.analysis.analyze_thread` (the dense
+kernels) is timed against
+:func:`~repro.core.analysis.analyze_thread_reference` (the set-based
+construction), best of ``repeats`` runs, no caching anywhere.  This is
+the work a cache miss pays (web renaming, liveness, NSRs, interference
+graphs, the slot/conflict model).
 
 Fidelity is checked harder than speed: per kernel the two analyses are
 reduced to a canonical SHA-256 digest over every comparable
-``ThreadAnalysis`` field (orders included) and the digests must match,
-and the end-to-end passes must produce byte-identical allocation
-summaries.  Any mismatch invalidates the speedups.  ``repro bench
+``ThreadAnalysis`` field (orders included) and the digests must match.
+Any mismatch invalidates the speedups.  Whole allocations on the two
+implementations are compared in ``tests/test_dense.py``.  ``repro bench
 analysis`` or ``pytest benchmarks/bench_analysis.py --benchmark-only
 -s`` regenerates ``benchmarks/out/BENCH_analysis.json``.
 """
@@ -29,10 +24,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.analysis import ThreadAnalysis, analyze_thread
-from repro.core.cache import AnalysisCache, CacheStats, scoped
-from repro.core.dense import set_default_analysis_impl
-from repro.harness.allocperf import _alloc_summary, build_grid
+from repro.core.analysis import (
+    ThreadAnalysis,
+    analyze_thread,
+    analyze_thread_reference,
+)
 from repro.harness.report import text_table
 from repro.suite.registry import BENCHMARKS, load
 
@@ -91,18 +87,9 @@ class AnalysisBenchReport:
     rows: List[Dict[str, Any]]
     analysis_reference_s: float
     analysis_dense_s: float
-    e2e_reference_s: float
-    e2e_dense_s: float
-    grid_points: int
     repeats: int
-    nthd: int
     digests_identical: bool
-    e2e_identical: bool
     kernels: List[str] = field(default_factory=list)
-
-    @property
-    def identical(self) -> bool:
-        return self.digests_identical and self.e2e_identical
 
     @property
     def analysis_speedup(self) -> float:
@@ -112,29 +99,14 @@ class AnalysisBenchReport:
             else 0.0
         )
 
-    @property
-    def e2e_speedup(self) -> float:
-        return (
-            self.e2e_reference_s / self.e2e_dense_s
-            if self.e2e_dense_s
-            else 0.0
-        )
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "kernels": self.kernels,
             "repeats": self.repeats,
-            "nthd": self.nthd,
-            "grid_points": self.grid_points,
             "analysis_reference_s": self.analysis_reference_s,
             "analysis_dense_s": self.analysis_dense_s,
             "analysis_speedup": self.analysis_speedup,
-            "e2e_reference_s": self.e2e_reference_s,
-            "e2e_dense_s": self.e2e_dense_s,
-            "e2e_speedup": self.e2e_speedup,
             "digests_identical": self.digests_identical,
-            "e2e_identical": self.e2e_identical,
-            "identical": self.identical,
             "rows": self.rows,
         }
 
@@ -148,70 +120,42 @@ def _best(fn, repeats: int) -> float:
     return out
 
 
-def _cold_pass(names: Sequence[str], nthd: int) -> Any:
-    """One cold end-to-end sweep; returns (seconds, canonical JSON)."""
-    with scoped(AnalysisCache(capacity=256)) as cache:
-        grid = build_grid(names, nthd=nthd)
-        # Building the grid probed bounds; the cold pass must not see it.
-        cache.clear()
-        cache.stats = CacheStats()
-        start = time.perf_counter()
-        summaries = [_alloc_summary(p) for p in grid]
-        elapsed = time.perf_counter() - start
-    return elapsed, len(grid), json.dumps(summaries, sort_keys=True)
-
-
 def run_analysis_bench(
     names: Optional[Sequence[str]] = None,
-    nthd: int = 4,
     repeats: int = 3,
 ) -> AnalysisBenchReport:
-    """Measure both implementations over the suite (see module docstring).
-
-    The process-wide implementation default is restored on exit.
-    """
+    """Measure both implementations over the suite (see module docstring)."""
     names = list(names or BENCHMARKS)
-    previous = set_default_analysis_impl("dense")
-    try:
-        rows: List[Dict[str, Any]] = []
-        totals = {"reference": 0.0, "dense": 0.0}
-        digests_identical = True
-        for name in names:
-            program = load(name)
-            row: Dict[str, Any] = {"name": name}
-            digests: Dict[str, str] = {}
-            for impl in ("reference", "dense"):
-                set_default_analysis_impl(impl)
-                digests[impl] = analysis_digest(analyze_thread(program))
-                seconds = _best(lambda: analyze_thread(program), repeats)
-                row[f"{impl}_s"] = seconds
-                totals[impl] += seconds
-            row["speedup"] = (
-                row["reference_s"] / row["dense_s"] if row["dense_s"] else 0.0
-            )
-            row["digest"] = digests["dense"]
-            row["digest_identical"] = digests["reference"] == digests["dense"]
-            digests_identical &= row["digest_identical"]
-            rows.append(row)
-
-        set_default_analysis_impl("reference")
-        ref_s, grid_points, ref_json = _cold_pass(names, nthd)
-        set_default_analysis_impl("dense")
-        dense_s, _, dense_json = _cold_pass(names, nthd)
-    finally:
-        set_default_analysis_impl(previous)
+    impls = (
+        ("reference", analyze_thread_reference),
+        ("dense", analyze_thread),
+    )
+    rows: List[Dict[str, Any]] = []
+    totals = {"reference": 0.0, "dense": 0.0}
+    digests_identical = True
+    for name in names:
+        program = load(name)
+        row: Dict[str, Any] = {"name": name}
+        digests: Dict[str, str] = {}
+        for impl, analyze in impls:
+            digests[impl] = analysis_digest(analyze(program))
+            seconds = _best(lambda: analyze(program), repeats)
+            row[f"{impl}_s"] = seconds
+            totals[impl] += seconds
+        row["speedup"] = (
+            row["reference_s"] / row["dense_s"] if row["dense_s"] else 0.0
+        )
+        row["digest"] = digests["dense"]
+        row["digest_identical"] = digests["reference"] == digests["dense"]
+        digests_identical &= row["digest_identical"]
+        rows.append(row)
 
     return AnalysisBenchReport(
         rows=rows,
         analysis_reference_s=totals["reference"],
         analysis_dense_s=totals["dense"],
-        e2e_reference_s=ref_s,
-        e2e_dense_s=dense_s,
-        grid_points=grid_points,
         repeats=repeats,
-        nthd=nthd,
         digests_identical=digests_identical,
-        e2e_identical=ref_json == dense_json,
         kernels=names,
     )
 
@@ -237,10 +181,6 @@ def render_analysis(report: AnalysisBenchReport) -> str:
         f"\nanalysis stage: reference {report.analysis_reference_s:.3f}s"
         f"  dense {report.analysis_dense_s:.3f}s"
         f"  ({report.analysis_speedup:.2f}x)"
-        f"\ncold end-to-end ({report.grid_points} grid points, "
-        f"nthd={report.nthd}): reference {report.e2e_reference_s:.3f}s"
-        f"  dense {report.e2e_dense_s:.3f}s"
-        f"  ({report.e2e_speedup:.2f}x)"
-        f"\nidentical analyses and allocations: {report.identical}"
+        f"\nidentical analyses: {report.digests_identical}"
     )
     return out

@@ -521,8 +521,6 @@ def run_scenario(
     """Run one scenario against a two-thread PU of ``kernel`` copies."""
     import tempfile
 
-    from repro.core.dense import set_default_analysis_impl
-
     programs = (
         [] if scenario.name in _KERNEL_FREE else [load(kernel), load(kernel)]
     )
@@ -532,31 +530,27 @@ def run_scenario(
         expect=scenario.expect,
         outcome="clean",
     )
-    previous_impl = set_default_analysis_impl("dense")
-    try:
-        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-            ctx = _Ctx(programs=programs, nreg=nreg, tmp_dir=tmp)
-            # Fresh cache per scenario: earlier scenarios must not have
-            # pre-warmed the fingerprints this one wants to fault on.
-            with cache_mod.scoped(), guard.watching() as degs:
-                with faults.inject(
-                    *scenario.specs,
-                    seed=_scenario_seed(seed, scenario.name, kernel),
-                ) as plan:
-                    try:
-                        scenario.body(ctx)
-                    except ReproError as exc:
-                        result.outcome = "typed-error"
-                        result.error = f"{type(exc).__name__}: {exc}"
-                    except Exception as exc:  # the gate's red line
-                        result.outcome = "unhandled"
-                        result.error = f"{type(exc).__name__}: {exc}"
-                    else:
-                        result.outcome = "masked" if plan.fired else "clean"
-                result.fired = [r.to_dict() for r in plan.fired]
-            result.degradations = [d.to_dict() for d in degs]
-    finally:
-        set_default_analysis_impl(previous_impl)
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+        ctx = _Ctx(programs=programs, nreg=nreg, tmp_dir=tmp)
+        # Fresh cache per scenario: earlier scenarios must not have
+        # pre-warmed the fingerprints this one wants to fault on.
+        with cache_mod.scoped(), guard.watching() as degs:
+            with faults.inject(
+                *scenario.specs,
+                seed=_scenario_seed(seed, scenario.name, kernel),
+            ) as plan:
+                try:
+                    scenario.body(ctx)
+                except ReproError as exc:
+                    result.outcome = "typed-error"
+                    result.error = f"{type(exc).__name__}: {exc}"
+                except Exception as exc:  # the gate's red line
+                    result.outcome = "unhandled"
+                    result.error = f"{type(exc).__name__}: {exc}"
+                else:
+                    result.outcome = "masked" if plan.fired else "clean"
+            result.fired = [r.to_dict() for r in plan.fired]
+        result.degradations = [d.to_dict() for d in degs]
     return result
 
 

@@ -43,7 +43,6 @@ WATCHED: Dict[str, str] = {
     "alloc.parallel_speedup": "higher",  # parallel sweep vs cold serial
     "alloc.descent_speedup": "higher",  # shared descent vs per-budget
     "analysis.speedup": "higher",       # dense analysis vs reference
-    "analysis.e2e_speedup": "higher",   # dense cold end-to-end
     "table1.cycles_per_iter": "lower",  # suite-total simulated cycles/iter
     "table2.total_moves": "lower",      # allocator move instructions
     "table2.max_overhead": "lower",     # worst per-kernel move overhead
@@ -82,7 +81,6 @@ def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
                 out["alloc.descent_speedup"] = float(descent)
         elif bench == "analysis":
             out["analysis.speedup"] = float(data["analysis_speedup"])
-            out["analysis.e2e_speedup"] = float(data["e2e_speedup"])
         elif bench == "table1":
             out["table1.cycles_per_iter"] = float(
                 sum(row["cycles_per_iter"] for row in data)

@@ -11,12 +11,13 @@ since Chaitin) uses heuristics.  We provide:
 
 All orders break ties on ``str(node)``, so results are deterministic.
 
-DSATUR and simplify-select each have a bitmask twin walking the graph's
+DSATUR and simplify-select walk the graph's
 :meth:`~repro.igraph.graph.UndirectedGraph.dense_view` (saturation and
 used-color sets as int masks, tie-breaks on the dense index, which is
-assigned in ``str`` order).  They are used when the dense analysis
-kernels are the process default (:mod:`repro.core.dense`) and produce
-identical colorings, insertion order included.
+assigned in ``str`` order).  Each has a set-based twin,
+:func:`dsatur_color_reference` and :func:`simplify_color_reference`,
+which the differential tests call by name; the twins produce identical
+colorings, insertion order included.
 """
 
 from __future__ import annotations
@@ -67,13 +68,8 @@ def greedy_color(
     return coloring
 
 
-def dsatur_color(graph: UndirectedGraph) -> Coloring:
-    """Brelaz's DSATUR: always color the node whose neighbors currently use
-    the most distinct colors (saturation), breaking ties by degree."""
-    from repro.core.dense import analysis_is_dense
-
-    if analysis_is_dense():
-        return _dsatur_dense(graph)
+def dsatur_color_reference(graph: UndirectedGraph) -> Coloring:
+    """Set-based :func:`dsatur_color`."""
     coloring: Coloring = {}
     uncolored = set(graph.nodes())
     sat: Dict[Node, set] = {n: set() for n in uncolored}
@@ -91,10 +87,12 @@ def dsatur_color(graph: UndirectedGraph) -> Coloring:
     return coloring
 
 
-def _dsatur_dense(graph: UndirectedGraph) -> Coloring:
-    """DSATUR over the dense adjacency view.
+def dsatur_color(graph: UndirectedGraph) -> Coloring:
+    """Brelaz's DSATUR: always color the node whose neighbors currently use
+    the most distinct colors (saturation), breaking ties by degree.
 
-    Saturation sets are color masks; the selection maximum is taken over
+    Runs over the dense adjacency view.  Saturation sets are color
+    masks; the selection maximum is taken over
     ``(popcount(sat), degree, index)``, which equals the reference key
     ``(len(sat), degree, str(node))`` because dense indices are assigned
     in ``str`` order and node strings are pairwise distinct.
@@ -125,16 +123,8 @@ def _dsatur_dense(graph: UndirectedGraph) -> Coloring:
     return coloring
 
 
-def simplify_color(graph: UndirectedGraph) -> Coloring:
-    """Chaitin-style simplify-select.
-
-    Repeatedly remove a minimum-degree node onto a stack, then color in
-    reverse removal order with the smallest available color.
-    """
-    from repro.core.dense import analysis_is_dense
-
-    if analysis_is_dense():
-        return _simplify_dense(graph)
+def simplify_color_reference(graph: UndirectedGraph) -> Coloring:
+    """Set-based :func:`simplify_color`."""
     work = graph.copy()
     stack: List[Node] = []
     remaining = set(work.nodes())
@@ -154,12 +144,15 @@ def simplify_color(graph: UndirectedGraph) -> Coloring:
     return coloring
 
 
-def _simplify_dense(graph: UndirectedGraph) -> Coloring:
-    """Simplify-select over the dense adjacency view.
+def simplify_color(graph: UndirectedGraph) -> Coloring:
+    """Chaitin-style simplify-select.
 
-    Degrees decrement in place instead of mutating a graph copy; the
-    removal minimum ``(degree, index)`` equals the reference key
-    ``(degree, str(node))`` by the dense-index order invariant.
+    Repeatedly remove a minimum-degree node onto a stack, then color in
+    reverse removal order with the smallest available color.  Runs over
+    the dense adjacency view: degrees decrement in place instead of
+    mutating a graph copy; the removal minimum ``(degree, index)`` equals
+    the reference key ``(degree, str(node))`` by the dense-index order
+    invariant.
     """
     view = graph.dense_view()
     nodes = view.nodes

@@ -1,9 +1,8 @@
 """The unified degradation ladder and bounded retry policy.
 
 Before this module every fallback in the tree was ad hoc: the sweep
-warned and reran serially, the engine selector warned and picked the
-reference interpreter, the disk cache silently swallowed errors, the
-spill fallback quietly retried.  The ladder unifies them under one
+warned and reran serially, the disk cache silently swallowed errors,
+the spill fallback quietly retried.  The ladder unifies them under one
 documented policy object: every rung names its trigger and its
 degraded mode, every *use* of a rung flows through
 :func:`record_degradation`, which appends a typed :class:`Degradation`
@@ -19,7 +18,6 @@ rung                                    degraded mode
 ======================================  =================================
 ``analysis.dense_to_reference``         re-analyze with the set-based
                                         reference kernels
-``engine.fast_to_reference``            run on the reference interpreter
 ``sweep.parallel_to_serial``            finish the sweep's missing
                                         points serially in-process
 ``cache.disk_to_memory``                disable the on-disk cache layer,
@@ -76,20 +74,14 @@ class Rung:
 
 
 #: The unified ladder.  ``record_degradation`` only accepts these names,
-#: so an undocumented fallback cannot ship silently; the table in
-#: ``docs/ROBUSTNESS.md`` is generated from this tuple's fields.
+#: so an undocumented fallback cannot ship silently; a test keeps the
+#: rung table in ``docs/ROBUSTNESS.md`` in step with this tuple.
 LADDER: Tuple[Rung, ...] = (
     Rung(
         name="analysis.dense_to_reference",
         trigger="the dense bitset analysis kernels raise on a program",
         action="re-analyze that program with the set-based reference "
         "implementation (bit-identical results by construction)",
-    ),
-    Rung(
-        name="engine.fast_to_reference",
-        trigger="the process-default fast engine meets a reference-only "
-        "feature (trace, timeline, paranoid assignment)",
-        action="run that machine on the reference interpreter",
     ),
     Rung(
         name="sweep.parallel_to_serial",

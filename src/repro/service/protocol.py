@@ -110,6 +110,10 @@ _VERDICT_ENGINES = ("reference", "fast", "auto")
 #: Priorities: 0 urgent, 1 normal (default), 2 batch.
 PRIORITIES = (0, 1, 2)
 
+#: Largest accepted ``deadline_s``: far beyond any allocation, and far
+#: below the timeout ``threading`` waits accept on any platform.
+MAX_DEADLINE_S = 3600.0
+
 #: Hard ceiling on threads per request -- a PU has a fixed number of
 #: hardware threads; admission rejects anything larger before analysis.
 MAX_PROGRAMS = 8
@@ -295,29 +299,30 @@ def parse_request(
             reason="too-large",
         )
     options = canonical_options(doc)
-    check_init = dict(options)["check_init"]
-    programs = []
-    for i, p in enumerate(raw_programs):
-        program = _parse_one_program(p, i)
-        validate_program(program, check_init=check_init)
-        programs.append(program)
     priority = doc.get("priority", 1)
-    if priority not in PRIORITIES:
+    if isinstance(priority, bool) or priority not in PRIORITIES:
         raise _reject(
             f"priority must be one of {PRIORITIES}, got {priority!r}",
             reason="bad-field",
         )
     deadline_s = doc.get("deadline_s")
     if deadline_s is not None:
+        # NaN fails both comparisons, so it is rejected too.
         if not isinstance(deadline_s, (int, float)) or isinstance(
             deadline_s, bool
-        ) or deadline_s < 0:
+        ) or not 0 <= deadline_s <= MAX_DEADLINE_S:
             raise _reject(
-                f"deadline_s must be a non-negative number, "
+                f"deadline_s must be a number in [0, {MAX_DEADLINE_S:g}], "
                 f"got {deadline_s!r}",
                 reason="bad-field",
             )
         deadline_s = float(deadline_s)
+    check_init = dict(options)["check_init"]
+    programs = []
+    for i, p in enumerate(raw_programs):
+        program = _parse_one_program(p, i)
+        validate_program(program, check_init=check_init)
+        programs.append(program)
     fingerprints = tuple(p.fingerprint() for p in programs)
     return ServiceRequest(
         programs=tuple(programs),

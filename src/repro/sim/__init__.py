@@ -32,13 +32,7 @@ from repro.sim.stats import MachineStats, ThreadStats
 from repro.sim.machine import Machine, ThreadContext
 from repro.sim.decode import DecodedProgram, decode_program
 from repro.sim.fast import FastMachine, decode_cached
-from repro.sim.engine import (
-    ENGINES,
-    create_machine,
-    get_default_engine,
-    select_engine,
-    set_default_engine,
-)
+from repro.sim.engine import ENGINES, create_machine, select_engine
 from repro.sim.run import (
     RunResult,
     run_threads,
@@ -60,9 +54,7 @@ __all__ = [
     "decode_cached",
     "ENGINES",
     "create_machine",
-    "get_default_engine",
     "select_engine",
-    "set_default_engine",
     "RunResult",
     "run_threads",
     "run_reference",

@@ -15,26 +15,18 @@ request, a :class:`RegisterAssignment` (paranoid mode), or an active
 telemetry capture (which the reference engine turns into timeline
 recording) all select the reference engine.
 
-Explicitly asking for ``engine="fast"`` together with a reference-only
-feature raises :class:`~repro.errors.EngineError`; when the *global
-default* (see :func:`set_default_engine`, used by the CLI's
-``--engine`` flag) names that engine the conflict instead falls back to
-the reference engine with a :class:`RuntimeWarning` -- a harness-wide
-preference should not explode the one allocated run inside a sweep.
-Each distinct conflict warns **once per process** (the degradation
-record and telemetry still fire per occurrence); a thousand-point sweep
-does not print a thousand identical warnings.
+``engine=None`` means ``"auto"``.  Asking for ``engine="fast"``
+together with a reference-only feature raises
+:class:`~repro.errors.EngineError`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Optional, Sequence, Set, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from repro.errors import EngineError
 from repro.ir.program import Program
 from repro.obs import events as obs
-from repro.resilience import guard
 from repro.sim.fast import FastMachine
 from repro.sim.machine import Machine
 
@@ -43,31 +35,6 @@ ENGINES = ("auto", "fast", "reference")
 
 #: Any concrete machine type (all expose the same run interface).
 AnyMachine = Union[Machine, FastMachine]
-
-_default_engine = "auto"
-
-#: Fallback-warning messages already issued this process (see module
-#: docstring: warn once per distinct conflict, not once per create()).
-_warned_fallbacks: Set[str] = set()
-
-
-def get_default_engine() -> str:
-    """The engine used when a call site passes ``engine=None``."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> str:
-    """Set the process-wide default engine; returns the previous one."""
-    global _default_engine
-    _check_name(name)
-    previous = _default_engine
-    _default_engine = name
-    return previous
-
-
-def _reset_fallback_warnings() -> None:
-    """Forget which fallback warnings were issued (test hook)."""
-    _warned_fallbacks.clear()
 
 
 def _check_name(name: str) -> None:
@@ -86,13 +53,10 @@ def select_engine(
 ) -> str:
     """Resolve an engine request to a concrete engine name.
 
-    ``engine=None`` consults the global default (non-strict: a
-    conflicting ``"fast"`` default falls back with a once-per-process
-    warning).  An explicit engine is strict and raises
-    :class:`EngineError` on conflict, naming the flag that forced it.
+    ``engine=None`` means ``"auto"``.  ``"fast"`` raises
+    :class:`EngineError` when a reference-only feature is requested.
     """
-    strict = engine is not None
-    name = engine if engine is not None else _default_engine
+    name = engine if engine is not None else "auto"
     _check_name(name)
     if name == "reference":
         return "reference"
@@ -114,21 +78,11 @@ def select_engine(
 
     # name == "fast"
     if blockers:
-        message = (
+        raise EngineError(
             f"the {name} engine does not support "
             + ", ".join(blockers)
             + "; use engine='reference'"
         )
-        if strict:
-            raise EngineError(message)
-        fallback_note = message + " -- falling back to the reference engine"
-        if fallback_note not in _warned_fallbacks:
-            _warned_fallbacks.add(fallback_note)
-            warnings.warn(fallback_note, RuntimeWarning, stacklevel=3)
-        guard.record_degradation(
-            f"engine.{name}_to_reference", reason="; ".join(blockers)
-        )
-        return "reference"
     return name
 
 

@@ -84,8 +84,8 @@ def run_threads(
     identical between a reference run and an allocated run.
 
     ``engine`` selects the execution engine (``"auto"``/``"fast"``/
-    ``"reference"``, see :mod:`repro.sim.engine`); ``None`` uses the
-    process-wide default.  Note that ``engine="fast"`` raises
+    ``"reference"``, see :mod:`repro.sim.engine`); ``None`` means
+    ``"auto"``.  Note that ``engine="fast"`` raises
     :class:`~repro.errors.EngineError` when combined with a paranoid
     ``assignment``.
     """

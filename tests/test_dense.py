@@ -6,28 +6,39 @@ field -- iteration orders included -- the renamed program, the bounds,
 and the final allocations must match the reference set-based
 construction exactly.  These tests compare the two implementations
 field by field over every suite kernel, over randomly generated
-programs (reusing the generators of ``tests/test_properties.py``), and
-at the allocator-query level (``conflict_profile`` / ``conflicts_any``
-vs the pointwise reference probes).
+programs (reusing the generators of ``tests/test_properties.py``), for
+both coloring heuristics, for whole-pipeline allocations, and at the
+allocator-query level (``conflict_profile`` / ``conflicts_any`` vs the
+pointwise reference probes).  The reference side is always called by
+name: ``analyze_thread_reference``, ``compute_liveness_reference``,
+``dsatur_color_reference`` and ``simplify_color_reference``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from repro.core.analysis import analyze_thread, true_conflict
-from repro.core.bounds import estimate_bounds
-from repro.core.context import initial_context
-from repro.core.dense import (
-    ANALYSIS_IMPLS,
-    analysis_is_dense,
-    get_default_analysis_impl,
-    mask_of_slots,
-    set_default_analysis_impl,
+import repro
+from repro.cfg.liveness import compute_liveness, compute_liveness_reference
+from repro.core import cache as cache_mod
+from repro.core.analysis import (
+    analyze_thread,
+    analyze_thread_reference,
+    true_conflict,
 )
+from repro.core.bounds import estimate_bounds
+from repro.core.cache import scoped
+from repro.core.context import initial_context
+from repro.core.dense import mask_of_slots
 from repro.core.pipeline import allocate_programs
+from repro.harness.allocperf import build_grid
+from repro.igraph import coloring
 from repro.igraph.graph import UndirectedGraph
 from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
@@ -36,34 +47,43 @@ from repro.suite.registry import BENCHMARKS, load
 
 
 @contextlib.contextmanager
-def using(impl):
-    previous = set_default_analysis_impl(impl)
-    try:
-        yield
-    finally:
-        set_default_analysis_impl(previous)
+def reference_kernels():
+    """Run the allocation pipeline on the set-based kernels.
+
+    The analysis cache's ``analyze_thread`` and both colorings are
+    swapped for their ``*_reference`` twins around a fresh cache, so no
+    dense-built analysis from an earlier test can be reused.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cache_mod, "analyze_thread", analyze_thread_reference)
+        patch.setattr(
+            coloring, "dsatur_color", coloring.dsatur_color_reference
+        )
+        patch.setattr(
+            coloring, "simplify_color", coloring.simplify_color_reference
+        )
+        with scoped() as cache:
+            yield cache
 
 
-# ---------------------------------------------------------------------------
-# Registry
-
-
-def test_registry_roundtrip():
-    previous = get_default_analysis_impl()
-    try:
-        assert set_default_analysis_impl("reference") == previous
-        assert get_default_analysis_impl() == "reference"
-        assert not analysis_is_dense()
-        assert set_default_analysis_impl("dense") == "reference"
-        assert analysis_is_dense()
-    finally:
-        set_default_analysis_impl(previous)
-
-
-def test_registry_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        set_default_analysis_impl("sparse")
-    assert get_default_analysis_impl() in ANALYSIS_IMPLS
+def test_repro_analysis_env_is_ignored():
+    # The analysis switch is gone: a leftover REPRO_ANALYSIS=reference
+    # in the environment must not change which kernels run.
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, REPRO_ANALYSIS="reference", PYTHONPATH=str(src))
+    code = (
+        "from repro.core.analysis import analyze_thread\n"
+        "from repro.suite.registry import load\n"
+        "print(analyze_thread(load('crc')).dense is not None)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "True"
 
 
 def test_mask_of_slots():
@@ -117,11 +137,20 @@ def test_mask_formulas_match_true_conflict():
 
 
 def both_analyses(program):
-    with using("reference"):
-        ra = analyze_thread(program)
-    with using("dense"):
-        da = analyze_thread(program)
-    return ra, da
+    return analyze_thread_reference(program), analyze_thread(program)
+
+
+def assert_colorings_identical(graphs):
+    """Both heuristics against their set-based twins on every graph of
+    an analysis, insertion order included."""
+    for graph in [graphs.gig, graphs.big, *graphs.iigs.values()]:
+        for dense, reference in [
+            (coloring.dsatur_color, coloring.dsatur_color_reference),
+            (coloring.simplify_color, coloring.simplify_color_reference),
+        ]:
+            assert list(dense(graph).items()) == list(
+                reference(graph).items()
+            )
 
 
 def assert_analyses_identical(ra, da):
@@ -166,27 +195,53 @@ def test_suite_kernel_analyses_identical(name):
     ra, da = both_analyses(load(name))
     assert da.dense is not None and ra.dense is None
     assert_analyses_identical(ra, da)
+    assert_colorings_identical(da.graphs)
 
 
-@pytest.mark.parametrize("name", ["frag", "crc", "fir2dim"])
-def test_bounds_and_allocation_identical(name):
+#: Kernels whose ``allocperf.build_grid(nthd=4)`` points (each kernel's
+#: own ceiling budget) are allocated whole on both implementations.
+GRID_KERNELS = ("crc", "md5", "url")
+
+
+@pytest.mark.parametrize(
+    "name, nthd",
+    [("frag", 2), ("crc", 2), ("fir2dim", 2)]
+    + [(name, 4) for name in GRID_KERNELS],
+    ids=["frag", "crc", "fir2dim"] + [f"grid-{n}" for n in GRID_KERNELS],
+)
+def test_bounds_and_allocation_identical(name, nthd):
     program = load(name)
-    with using("reference"):
-        rb = estimate_bounds(analyze_thread(program))
-        rout = allocate_programs([program, program], nreg=64)
-    with using("dense"):
-        db = estimate_bounds(analyze_thread(program))
-        dout = allocate_programs([program, program], nreg=64)
-    assert rb.coloring == db.coloring
+
+    def allocate_all(budgets):
+        return [
+            allocate_programs([program] * nthd, nreg=nreg) for nreg in budgets
+        ]
+
+    with scoped() as cache:
+        if nthd == 2:
+            budgets = [64]
+        else:
+            budgets = [nreg for _, nreg, _ in build_grid([name], nthd=nthd)]
+        db = cache.bounds(program)
+        douts = allocate_all(budgets)
+    assert all(a.dense is not None for o in douts for a in o.analyses)
+    with reference_kernels() as cache:
+        rb = cache.bounds(program)
+        routs = allocate_all(budgets)
+    # Every analysis in the reference arm came from the set-based
+    # kernels, so the comparison below cannot be dense against dense.
+    assert all(a.dense is None for o in routs for a in o.analyses)
+    assert list(rb.coloring.items()) == list(db.coloring.items())
     assert (rb.min_pr, rb.max_pr, rb.min_r, rb.max_r) == (
         db.min_pr,
         db.max_pr,
         db.min_r,
         db.max_r,
     )
-    assert rout.summary() == dout.summary()
-    for rp, dp in zip(rout.programs, dout.programs):
-        assert format_program(rp) == format_program(dp)
+    for rout, dout in zip(routs, douts):
+        assert rout.summary() == dout.summary()
+        for rp, dp in zip(rout.programs, dout.programs):
+            assert format_program(rp) == format_program(dp)
 
 
 # ---------------------------------------------------------------------------
@@ -195,52 +250,46 @@ def test_bounds_and_allocation_identical(name):
 
 def test_conflict_profile_and_conflicts_any_match_reference_probes():
     program = load("frag")
-    for impl in ("dense", "reference"):
-        with using(impl):
-            an = analyze_thread(program)
-            b = estimate_bounds(an)
-            ctx = initial_context(
-                an, b.coloring, b.max_pr, b.max_r - b.max_pr
-            )
-            assert (an.dense is not None) == (impl == "dense")
-            pieces = list(ctx.all_pieces())
-            # Split one range so both the split-other and split-self probe
-            # paths run.
-            for piece in pieces:
-                if len(piece.slots) > 1:
-                    part = frozenset([min(piece.slots)])
-                    ctx.split_piece(piece, part, piece.color)
-                    break
-            for piece in ctx.all_pieces():
-                profile = ctx.conflict_profile(piece)
-                assert ctx.colors_in_conflict(piece) == set(profile)
-                for color in range(ctx.r):
-                    pointwise = ctx.conflicts_with_color(piece, color)
-                    assert ctx.conflicts_any(piece, color) == bool(pointwise)
-                    entry = profile.get(color)
-                    got = set() if entry is None else {p.pid for p in entry[0]}
-                    assert got == {p.pid for p, _ in pointwise}
+    for analyze in (analyze_thread, analyze_thread_reference):
+        an = analyze(program)
+        b = estimate_bounds(an)
+        ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
+        assert (an.dense is not None) == (analyze is analyze_thread)
+        pieces = list(ctx.all_pieces())
+        # Split one range so both the split-other and split-self probe
+        # paths run.
+        for piece in pieces:
+            if len(piece.slots) > 1:
+                part = frozenset([min(piece.slots)])
+                ctx.split_piece(piece, part, piece.color)
+                break
+        for piece in ctx.all_pieces():
+            profile = ctx.conflict_profile(piece)
+            assert ctx.colors_in_conflict(piece) == set(profile)
+            for color in range(ctx.r):
+                pointwise = ctx.conflicts_with_color(piece, color)
+                assert ctx.conflicts_any(piece, color) == bool(pointwise)
+                entry = profile.get(color)
+                got = set() if entry is None else {p.pid for p in entry[0]}
+                assert got == {p.pid for p, _ in pointwise}
 
 
 def test_profile_entries_identical_across_impls():
     program = load("drr")
 
-    def snapshot(impl):
-        with using(impl):
-            an = analyze_thread(program)
-            b = estimate_bounds(an)
-            ctx = initial_context(
-                an, b.coloring, b.max_pr, b.max_r - b.max_pr
-            )
-            out = {}
-            for piece in ctx.all_pieces():
-                prof = ctx.conflict_profile(piece)
-                out[(piece.reg, piece.pid)] = {
-                    color: (tuple(e[0]), e[1]) for color, e in prof.items()
-                }
-            return out
+    def snapshot(analyze):
+        an = analyze(program)
+        b = estimate_bounds(an)
+        ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
+        out = {}
+        for piece in ctx.all_pieces():
+            prof = ctx.conflict_profile(piece)
+            out[(piece.reg, piece.pid)] = {
+                color: (tuple(e[0]), e[1]) for color, e in prof.items()
+            }
+        return out
 
-    assert snapshot("reference") == snapshot("dense")
+    assert snapshot(analyze_thread_reference) == snapshot(analyze_thread)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +323,8 @@ def test_live_across_csb_uses_def_sets():
         halt
     """
     program = parse_program(text, "t")
-    from repro.cfg.liveness import compute_liveness
-
-    with using("reference"):
-        rl = compute_liveness(program)
-    with using("dense"):
-        dl = compute_liveness(program)
+    rl = compute_liveness_reference(program)
+    dl = compute_liveness(program)
     for c in (2,):
         assert rl.live_across_csb(c) == dl.live_across_csb(c)
     # The lazily built def-set cache matches the instructions.
@@ -315,11 +360,11 @@ def test_generated_branching_identical(text):
     program = parse_program(text, "gen")
     ra, da = both_analyses(program)
     assert_analyses_identical(ra, da)
-    with using("reference"):
-        rb = estimate_bounds(analyze_thread(program))
-    with using("dense"):
-        db = estimate_bounds(analyze_thread(program))
-    assert rb.coloring == db.coloring
+    assert_colorings_identical(da.graphs)
+    with reference_kernels():
+        rb = estimate_bounds(ra)
+    db = estimate_bounds(da)
+    assert list(rb.coloring.items()) == list(db.coloring.items())
     assert (rb.min_pr, rb.max_pr, rb.min_r, rb.max_r) == (
         db.min_pr,
         db.max_pr,

@@ -124,16 +124,6 @@ def test_cli_chaos_subcommand(tmp_path):
     assert payload["ok"] is True
 
 
-def test_cli_chaos_accepts_engine_flag():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(
-        ["chaos", "--scenarios", "runaway-fast", "--engine", "fast"]
-    )
-    assert args.engine == "fast"
-    assert args.scenarios == "runaway-fast"
-
-
 def test_cli_chaos_rejects_unknown(capsys):
     from repro.cli import main
 

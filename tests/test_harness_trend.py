@@ -30,8 +30,8 @@ def test_watched_from_bench_shapes():
         "alloc", {"warm_speedup": 6.7, "parallel_speedup": 2.5}
     ) == {"alloc.warm_speedup": 6.7, "alloc.parallel_speedup": 2.5}
     assert trend.watched_from_bench(
-        "analysis", {"analysis_speedup": 15.4, "e2e_speedup": 2.0}
-    ) == {"analysis.speedup": 15.4, "analysis.e2e_speedup": 2.0}
+        "analysis", {"analysis_speedup": 15.4}
+    ) == {"analysis.speedup": 15.4}
     assert trend.watched_from_bench(
         "table1", [{"cycles_per_iter": 10.0}, {"cycles_per_iter": 5.0}]
     ) == {"table1.cycles_per_iter": 15.0}

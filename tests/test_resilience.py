@@ -1,6 +1,8 @@
 """Unit tests for the resilience subsystem: fault injection, deadlines,
 the degradation ladder, retries, and the simulator watchdogs."""
 
+import pathlib
+
 import pytest
 
 from repro.errors import (
@@ -148,7 +150,6 @@ def test_ladder_documents_every_rung():
     names = {r.name for r in guard.LADDER}
     assert names == {
         "analysis.dense_to_reference",
-        "engine.fast_to_reference",
         "sweep.parallel_to_serial",
         "cache.disk_to_memory",
         "alloc.greedy_to_spill",
@@ -158,6 +159,15 @@ def test_ladder_documents_every_rung():
     }
     for rung in guard.LADDER:
         assert rung.trigger and rung.action
+
+
+def test_robustness_doc_lists_exactly_the_ladder():
+    docs = pathlib.Path(__file__).resolve().parents[1] / "docs"
+    text = (docs / "ROBUSTNESS.md").read_text()
+    table = text[text.index("| rung | trigger | degraded mode |"):]
+    rows = table.split("\n\n", 1)[0].splitlines()[2:]
+    documented = [row.split("|")[1].strip().strip("`") for row in rows]
+    assert documented == [r.name for r in guard.LADDER]
 
 
 def test_retry_transient_recovers():
@@ -253,19 +263,14 @@ def test_pipeline_transient_storm_surfaces_typed():
 
 def test_dense_analysis_fault_degrades_to_reference():
     from repro.core.cache import scoped
-    from repro.core.dense import set_default_analysis_impl
     from repro.core.pipeline import allocate_programs
 
-    previous = set_default_analysis_impl("dense")
-    try:
-        with scoped():
-            with guard.watching() as degs:
-                with faults.inject(
-                    FaultSpec("analysis.dense", mode="error", count=1)
-                ) as plan:
-                    outcome = allocate_programs([_mini()], nreg=16)
-    finally:
-        set_default_analysis_impl(previous)
+    with scoped():
+        with guard.watching() as degs:
+            with faults.inject(
+                FaultSpec("analysis.dense", mode="error", count=1)
+            ) as plan:
+                outcome = allocate_programs([_mini()], nreg=16)
     assert plan.fired_at("analysis.dense")
     assert any(d.rung == "analysis.dense_to_reference" for d in degs)
     assert outcome.programs
@@ -319,17 +324,3 @@ def test_bitflip_fires_deterministically_on_reference():
         return list(machine.regfile)
 
     assert flipped_regs(3) == flipped_regs(3)
-
-
-def test_engine_fallback_records_degradation():
-    from repro.sim.engine import select_engine, set_default_engine
-
-    previous = set_default_engine("fast")
-    try:
-        with guard.watching() as degs:
-            with pytest.warns(RuntimeWarning):
-                chosen = select_engine(None, trace=True)
-    finally:
-        set_default_engine(previous)
-    assert chosen == "reference"
-    assert any(d.rung == "engine.fast_to_reference" for d in degs)

@@ -79,6 +79,35 @@ class TestProtocol:
             protocol.parse_request(doc_for(bogus=1))
         assert ei.value.reason == "bad-field"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline_s", 1e10),
+            ("deadline_s", 1e12),
+            ("deadline_s", float("inf")),
+            ("deadline_s", float("nan")),
+            ("priority", True),
+            ("priority", False),
+        ],
+        ids=[
+            "deadline-1e10",
+            "deadline-1e12",
+            "deadline-inf",
+            "deadline-nan",
+            "priority-true",
+            "priority-false",
+        ],
+    )
+    def test_bad_scheduling_field_rejected(self, field, value):
+        with pytest.raises(RequestRejected) as ei:
+            protocol.parse_request(doc_for(**{field: value}))
+        assert ei.value.reason == "bad-field"
+
+    def test_deadline_bounds_are_inclusive(self):
+        for deadline_s in (0, protocol.MAX_DEADLINE_S):
+            request = protocol.parse_request(doc_for(deadline_s=deadline_s))
+            assert request.deadline_s == deadline_s
+
     def test_kernel_xor_asm(self):
         with pytest.raises(RequestRejected):
             protocol.parse_request(
@@ -502,6 +531,14 @@ class TestServiceCore:
         status, envelope = core.submit(doc_for(), body_bytes=10**9)
         assert status == 413
         assert envelope["error"]["reason"] == "too-large"
+        for extra in (
+            {"deadline_s": 1e12},
+            {"deadline_s": float("inf")},
+            {"priority": True},
+        ):
+            status, envelope = core.submit(doc_for(**extra))
+            assert status == 400, envelope
+            assert envelope["error"]["reason"] == "bad-field"
         assert core.pipeline_runs == 0
 
     def test_draining_sheds_new_requests(self):

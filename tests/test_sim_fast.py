@@ -11,21 +11,13 @@ and hypothesis-generated programs, plus the engine-selection policy.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.errors import EngineError, SimulationError
 from repro.ir.parser import parse_program
 from repro.ir.validate import validate_program
 from repro.obs import events as obs
-from repro.sim.engine import (
-    _reset_fallback_warnings,
-    create_machine,
-    get_default_engine,
-    select_engine,
-    set_default_engine,
-)
+from repro.sim.engine import create_machine, select_engine
 from repro.sim.fast import FastMachine
 from repro.sim.machine import Machine
 from repro.sim.memory import Memory
@@ -239,54 +231,9 @@ def test_explicit_fast_conflicts_raise():
         FastMachine([load("frag")], assignment=object())
 
 
-def _runtime_warnings(caught):
-    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
-
-
-def test_fast_default_engine_warns_and_falls_back():
-    previous = set_default_engine("fast")
-    _reset_fallback_warnings()
-    try:
-        assert get_default_engine() == "fast"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            chosen = select_engine(None, trace=True)
-        assert chosen == "reference"
-        assert len(_runtime_warnings(caught)) == 1
-    finally:
-        set_default_engine(previous)
-        _reset_fallback_warnings()
-    assert get_default_engine() == previous
-
-
-def test_fallback_warning_deduplicated():
-    """A conflicting engine *default* warns once per process, not once
-    per select (the degradation record still fires each time)."""
-    previous = set_default_engine("fast")
-    _reset_fallback_warnings()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert select_engine(None, trace=True) == "reference"
-            assert select_engine(None, trace=True) == "reference"
-        assert len(_runtime_warnings(caught)) == 1
-        # The test hook forgets issued warnings; the next conflict
-        # warns again.
-        _reset_fallback_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert select_engine(None, trace=True) == "reference"
-        assert len(_runtime_warnings(caught)) == 1
-    finally:
-        set_default_engine(previous)
-        _reset_fallback_warnings()
-
-
 def test_unknown_engine_rejected():
     with pytest.raises(EngineError):
         select_engine("turbo")
-    with pytest.raises(EngineError):
-        set_default_engine("turbo")
 
 
 def test_run_threads_fast_with_assignment_raises():
