@@ -33,7 +33,7 @@ Response envelope (``schema: repro.service/1``)::
      "result": {...}}             # see outcome_payload()
 
     {"schema": "repro.service/1", "status": "error",
-     "key": "...",                # omitted when unknown (parse failures)
+     "key": "...",                # omitted on parse/validation failures
      "error": {"type": "ServiceOverloaded", "message": "...",
                "retry_after": 0.05}}
 
@@ -80,7 +80,6 @@ from repro.errors import (
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
 from repro.ir.program import Program
-from repro.ir.validate import validate_program
 from repro.suite.registry import load as load_kernel
 
 SCHEMA = "repro.service/1"
@@ -134,7 +133,12 @@ ERROR_STATUS: Dict[str, int] = {
 
 @dataclass(frozen=True)
 class ServiceRequest:
-    """A parsed, validated, content-addressed allocation request."""
+    """A parsed, content-addressed allocation request.
+
+    Its programs are not yet structurally validated:
+    :meth:`~repro.service.server.ServiceCore.submit` validates them on a
+    result-store miss.
+    """
 
     programs: Tuple[Program, ...]
     options: Tuple[Tuple[str, Any], ...]  #: canonical, sorted pairs
@@ -193,8 +197,8 @@ def _parse_one_program(doc: Any, index: int) -> Program:
             f"programs[{index}].name must be a non-empty string",
             reason="bad-field",
         )
-    # AsmSyntaxError propagates typed; validation happens in
-    # parse_request so kernel programs are checked identically.
+    # AsmSyntaxError propagates typed; structural validation waits for
+    # a store miss, where kernel programs are checked identically.
     program = parse_program(asm, name)
     if len(program.instrs) > MAX_INSTRS:
         raise _reject(
@@ -267,12 +271,20 @@ def request_key(
 def parse_request(
     doc: Any, max_programs: int = MAX_PROGRAMS
 ) -> ServiceRequest:
-    """Validate a decoded request body into a :class:`ServiceRequest`.
+    """Turn a decoded request body into a :class:`ServiceRequest`.
 
-    Raises typed :class:`~repro.errors.RequestRejected` /
-    :class:`~repro.errors.AsmSyntaxError` /
-    :class:`~repro.errors.ValidationError` -- never does any analysis
+    Checks the shape, the options, ``priority`` and ``deadline_s``,
+    parses every program, applies the :data:`MAX_INSTRS` cap and
+    derives the fingerprints and key.  Raises typed
+    :class:`~repro.errors.RequestRejected` /
+    :class:`~repro.errors.AsmSyntaxError` -- never does any analysis
     or allocation work, so malformed traffic is rejected cheaply.
+
+    Structural validation (:func:`~repro.ir.validate.validate_program`)
+    is not done here.  The lifecycle is parse -> replay -> validate:
+    :meth:`~repro.service.server.ServiceCore.submit` validates only on a
+    result-store miss, because a stored payload proves that the programs
+    under its key passed validation with its ``check_init``.
     """
     if not isinstance(doc, Mapping):
         raise _reject(
@@ -317,12 +329,7 @@ def parse_request(
                 reason="bad-field",
             )
         deadline_s = float(deadline_s)
-    check_init = dict(options)["check_init"]
-    programs = []
-    for i, p in enumerate(raw_programs):
-        program = _parse_one_program(p, i)
-        validate_program(program, check_init=check_init)
-        programs.append(program)
+    programs = [_parse_one_program(p, i) for i, p in enumerate(raw_programs)]
     fingerprints = tuple(p.fingerprint() for p in programs)
     return ServiceRequest(
         programs=tuple(programs),

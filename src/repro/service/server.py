@@ -4,7 +4,7 @@ Two layers, deliberately separable:
 
 :class:`ServiceCore`
     The whole hardened lifecycle with no sockets anywhere -- parse /
-    validate / reject, store lookup, coalescing, bounded admission,
+    reject, store lookup, validation, coalescing, bounded admission,
     worker execution under a per-request :class:`~repro.resilience.
     deadline.Deadline`, circuit-breakered store/engine/verifier access,
     typed envelopes for every outcome.  Tests and the chaos harness
@@ -17,8 +17,12 @@ Two layers, deliberately separable:
 
 Request lifecycle (the order is the robustness story)::
 
-    reject    size cap and structural validation BEFORE any analysis
+    parse     size caps, fields, options, assembly parse -> request key
     replay    content-addressed result store -> idempotent cache hit
+    validate  structural validation, on a miss, BEFORE any queue slot
+              or analysis (a hit needs none: the key covers every
+              program and ``check_init``, and only payloads of
+              validated programs are stored)
     coalesce  identical in-flight request -> follow the leader
     admit     bounded queue; full or draining -> typed 429 + retry_after
     execute   worker thread, Deadline threaded into the pipeline,
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import http.server
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -55,6 +60,7 @@ from repro.errors import (
     SimulationError,
     VerificationError,
 )
+from repro.ir.validate import validate_program
 from repro.obs import events as obs
 from repro.obs import metrics as obs_metrics
 from repro.resilience import faults
@@ -267,24 +273,31 @@ class ServiceCore:
             request = protocol.parse_request(
                 doc, max_programs=self.config.max_programs
             )
-            key = request.key
             budget = (
                 request.deadline_s
                 if request.deadline_s is not None
                 else self.config.default_deadline_s
             )
             deadline = Deadline.after(budget)
-            cached = self._store_get(key)
+            cached = self._store_get(request.key)
             if cached is not None:
                 return self._respond(
                     t0,
                     protocol.ok_envelope(
-                        key,
+                        request.key,
                         cached,
                         cached=True,
                         degraded=self.breakers.degraded_flags(),
                     ),
                 )
+            # Only a miss validates: a stored payload was computed from
+            # these same validated programs under this same check_init,
+            # all of which the key covers.  Key is bound afterwards, so
+            # a rejection envelope carries none, like any parse failure.
+            check_init = request.option("check_init")
+            for program in request.programs:
+                validate_program(program, check_init=check_init)
+            key = request.key
             entry, leader = self.coalescer.lease(key)
             coalesced = not leader
             if leader:
@@ -503,6 +516,22 @@ class _Handler(http.server.BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # the service speaks through repro.obs, not stderr
 
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+        extra_headers: Tuple[Tuple[str, str], ...] = (),
+    ) -> None:
+        """Write one response; every response leaves through here."""
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in extra_headers:
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
     def _send_json(
         self,
         status: int,
@@ -510,19 +539,15 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         extra_headers: Tuple[Tuple[str, str], ...] = (),
     ) -> None:
         body = json.dumps(doc, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers:
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, body, extra_headers=extra_headers)
 
     def _send_envelope(self, status: int, envelope: Dict[str, Any]) -> None:
         headers: Tuple[Tuple[str, str], ...] = ()
         err = envelope.get("error") or {}
         if "retry_after" in err:
-            headers = (("Retry-After", f"{err['retry_after']:.3f}"),)
+            # RFC 9110 delay-seconds is 1*DIGIT: whole seconds, rounded
+            # up so the header never asks for less than the envelope.
+            headers = (("Retry-After", str(math.ceil(err["retry_after"]))),)
         self._send_json(status, envelope, headers)
 
     def do_GET(self) -> None:  # noqa: N802
@@ -546,13 +571,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             body = to_prometheus(
                 obs_metrics.registry().snapshot()
             ).encode()
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, body, "text/plain; version=0.0.4")
         else:
             self._send_envelope(
                 404,
@@ -577,18 +596,27 @@ class _Handler(http.server.BaseHTTPRequestHandler):
                 ),
             )
             return
-        try:
-            length = int(self.headers.get("Content-Length", ""))
-        except ValueError:
+        # RFC 9110 8.6: Content-Length is 1*DIGIT, once the surrounding
+        # whitespace (not part of a field value) is dropped.  int() would
+        # also take "-1" (read to EOF: a hang), "+2" or "1_0".  Without
+        # a valid length the body cannot be framed, so the connection
+        # closes: its unread bytes must not be read as the next request.
+        raw_length = self.headers.get("Content-Length")
+        digits = (raw_length or "").strip(" \t")
+        if not (digits.isascii() and digits.isdigit()):
+            self.close_connection = True
+            if raw_length is None:
+                status, message = 411, "request needs a Content-Length header"
+            else:
+                status, message = 400, (
+                    f"Content-Length must be a decimal byte count, got "
+                    f"{raw_length!r}"
+                )
             self._send_envelope(
-                411,
-                protocol.error_envelope(
-                    RequestRejected(
-                        "request needs a Content-Length header"
-                    )
-                ),
+                status, protocol.error_envelope(RequestRejected(message))
             )
             return
+        length = int(digits)
         if length > core.config.max_request_bytes:
             # Reject before reading the body; close the connection so
             # the unread bytes cannot poison keep-alive framing.

@@ -539,7 +539,82 @@ class TestServiceCore:
             status, envelope = core.submit(doc_for(**extra))
             assert status == 400, envelope
             assert envelope["error"]["reason"] == "bad-field"
+        for asm in (
+            "movi %a, 1\nadd %b, %a, %c\nhalt\n",  # %c read uninitialised
+            "movi %a, 1\nbr nowhere\n",  # undefined branch label
+            "movi %a, 1\nmov $r0, %a\nhalt\n",  # virtual and physical
+        ):
+            status, envelope = core.submit({"programs": [{"asm": asm}]})
+            assert status == 400, envelope
+            assert envelope["error"]["type"] == "ValidationError"
+            assert "key" not in envelope
         assert core.pipeline_runs == 0
+        assert core.queue.admitted_count == 0
+
+    def test_validation_runs_only_on_a_store_miss(self, monkeypatch):
+        """A replay validates nothing; an executed request validates each
+        program three times (on the miss, in the pipeline, and its
+        rewritten output)."""
+        import sys
+
+        from repro.ir import validate
+
+        real = validate.validate_program
+        calls = []
+
+        def counting(program, check_init=True):
+            calls.append(program.name)
+            return real(program, check_init=check_init)
+
+        # Every binding, like perfbench's ir.validate_calls counts them.
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and \
+                    getattr(module, "validate_program", None) is real:
+                monkeypatch.setattr(module, "validate_program", counting)
+        doc = {
+            "programs": [
+                {"asm": MINI_KERNEL, "name": "k"},
+                {"asm": MINI_KERNEL, "name": "k2"},
+            ],
+            "nreg": NREG,
+        }
+        core = self.make()
+        core.start()
+        try:
+            status, first = core.submit(doc)
+            assert status == 200 and not first["cached"], first
+            assert sorted(calls) == ["k"] * 3 + ["k2"] * 3
+            calls.clear()
+            status, replay = core.submit(doc)
+            assert status == 200 and replay["cached"], replay
+            assert calls == []
+            assert core.pipeline_runs == 1
+        finally:
+            assert core.drain(5.0)
+
+    def test_check_init_escalation_is_validated_not_replayed(self):
+        """The key covers ``check_init``, so a program stored under
+        ``check_init: false`` is validated, and rejected, when the same
+        program comes back under ``check_init: true``."""
+        loose = {
+            "programs": [
+                {"asm": "movi %a, 1\nadd %b, %a, %c\nctx\nhalt\n"}
+            ],
+            "check_init": False,
+        }
+        core = self.make()
+        core.start()
+        try:
+            status, envelope = core.submit(loose)
+            assert status == 200, envelope
+            assert core.store.get(envelope["key"]) is not None
+            status, envelope = core.submit({**loose, "check_init": True})
+            assert status == 400, envelope
+            assert envelope["error"]["type"] == "ValidationError"
+            assert "key" not in envelope
+            assert core.pipeline_runs == 1
+        finally:
+            assert core.drain(5.0)
 
     def test_draining_sheds_new_requests(self):
         core = self.make()
@@ -661,12 +736,64 @@ class TestHTTP:
             conn.request("POST", "/v1/allocate", body=body,
                          headers={"Content-Type": "application/json"})
             resp = conn.getresponse()
-            resp.read()
+            doc = json.loads(resp.read())
         finally:
             conn.close()
         server.core.draining = False
         assert resp.status == 429
-        assert float(resp.headers["Retry-After"]) > 0
+        # RFC 9110 delay-seconds: whole seconds, never below the envelope.
+        header = resp.headers["Retry-After"]
+        assert header.isascii() and header.isdigit(), header
+        assert int(header) >= doc["error"]["retry_after"] > 0
+
+    @staticmethod
+    def raw_exchange(server, data):
+        """Send raw bytes on a fresh connection and read until the server
+        closes it; fail if it has not closed within 2 s."""
+        import socket
+
+        chunks = []
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            sock.sendall(data)
+            try:
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        return b"".join(chunks)
+                    chunks.append(chunk)
+            except socket.timeout:
+                pytest.fail(
+                    f"connection still open after 2 s; read "
+                    f"{b''.join(chunks)!r}"
+                )
+
+    @pytest.mark.parametrize(
+        "framing, status",
+        [
+            (b"Content-Length: -1", 400),
+            (b"Content-Length: +2", 400),
+            (b"Content-Length: 1_0", 400),
+            (b"Content-Length: abc", 400),
+            (b"Transfer-Encoding: chunked", 411),
+        ],
+        ids=["negative", "plus-sign", "underscore", "letters", "no-length"],
+    )
+    def test_unframeable_body_is_rejected_and_closed(
+        self, server, framing, status
+    ):
+        """Only ``1*DIGIT`` frames a body; anything else gets one typed
+        response and a closed connection.  ``-1`` used to read to EOF (no
+        response, a hung handler); the others left the connection open,
+        and the request hidden in this body was served next."""
+        reply = self.raw_exchange(
+            server,
+            b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n" + framing
+            + b"\r\n\r\n{}GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+        )
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        assert reply.startswith(b"HTTP/1.1 %d " % status), reply
+        doc = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert doc["error"]["type"] == "RequestRejected"
 
     def test_health_endpoints(self, server):
         client = self.client_for(server)
