@@ -464,11 +464,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the allocation service until SIGTERM/SIGINT, then drain."""
+    import gc
     import signal
     import threading
     import time
 
     from repro.service import ReproServer, ServiceConfig
+    from repro.service.server import SERVE_GC_THRESHOLD
 
     config = ServiceConfig(
         workers=args.workers,
@@ -480,6 +482,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         breaker_cooldown=args.breaker_cooldown,
         drain_timeout_s=args.drain_timeout,
     )
+    gc.set_threshold(*SERVE_GC_THRESHOLD)
     server = ReproServer(config, host=args.host, port=args.port)
     server.start()
     host, port = server.address

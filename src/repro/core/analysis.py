@@ -106,6 +106,11 @@ class ThreadAnalysis:
     _conflict_pair_index: Dict[
         Tuple["Reg", "Reg"], Tuple[int, ...]
     ] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    #: Lazy per-range neighbour masks (see :meth:`conflict_neighbors`);
+    #: never compared or printed.
+    _conflict_neighbors: Tuple[Dict["Reg", int], List[int]] = field(
+        default=None, repr=False, compare=False
+    )  # type: ignore[assignment]
     #: Bitmask companion built by the dense kernels
     #: (:class:`repro.core.dense.DenseAnalysisIndex`); ``None`` for
     #: reference-built analyses.  Never compared or printed -- the
@@ -143,9 +148,10 @@ class ThreadAnalysis:
         ``conflicts_at`` records every conflict in both directions; this
         deduplicates to ``(a, b)`` with ``str(a) < str(b)`` and collects
         the ascending slot list where the pair truly conflicts.  Built on
-        first use and cached -- context validation sweeps it after every
-        committed reduction step, and for unsplit ranges one color
-        comparison per *pair* replaces one per (slot, pair) entry.
+        first use and cached -- validation of a context with a split
+        range sweeps it, comparing one slot per pair whose ranges are
+        both unsplit, and every context's validation reports a clash
+        from it.
         """
         index = self._conflict_pair_index
         if index is None:
@@ -168,6 +174,34 @@ class ThreadAnalysis:
                 index = {k: tuple(v) for k, v in grouped.items()}
             self._conflict_pair_index = index
         return index
+
+    def conflict_neighbors(self) -> Tuple[Dict["Reg", int], List[int]]:
+        """Each range's conflict neighbours, as bitmasks over ranks.
+
+        Returns ``(rank, masks)``: ``rank`` numbers the ranges in
+        ``str`` order (the dense renumbering), and bit ``rank[b]`` of
+        ``masks[rank[a]]`` is set when ``a`` and ``b`` truly conflict
+        at some slot -- the pairs of :meth:`conflict_pairs` without
+        their slots.  It is all an unsplit context's validation needs,
+        at one mask per range instead of one slot list per pair.  Built
+        on first use and cached.
+        """
+        relation = self._conflict_neighbors
+        if relation is None:
+            dense = getattr(self, "dense", None)
+            if dense is not None:
+                relation = (dense.dmap.index, dense.conflict_neighbor_masks())
+            else:
+                rank = {r: i for i, r in enumerate(self.all_regs)}
+                masks = [0] * len(rank)
+                for a, pairs in self.conflicts_at.items():
+                    m = 0
+                    for _, b in pairs:
+                        m |= 1 << rank[b]
+                    masks[rank[a]] = m
+                relation = (rank, masks)
+            self._conflict_neighbors = relation
+        return relation
 
     def interferes_at(self, a: Reg, b: Reg, slot: int) -> bool:
         """Do ranges ``a`` and ``b`` truly conflict at ``slot``?

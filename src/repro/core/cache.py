@@ -28,6 +28,12 @@ the disk layer for this cache while the in-memory LRU keeps working.
 The ``cache.disk`` fault-injection site and the dense-analysis
 fallback rung are exercised by ``repro chaos``.
 
+The service's worker threads share the global cache.  One lock guards
+its bookkeeping -- look-up and touch, insert and evict, and the
+:class:`CacheStats` counters -- and is never held across an analysis
+or disk I/O, so two threads missing on one program may both analyse
+it; the second insert replaces the first with an equal entry.
+
 Cached values are shared objects: callers must treat a returned
 :class:`ThreadAnalysis` (and the ``coloring`` inside its
 :class:`Bounds`) as immutable, which the allocator pipeline already
@@ -43,6 +49,7 @@ import os
 import pathlib
 import pickle
 import tempfile
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -161,6 +168,7 @@ class AnalysisCache:
         self.max_disk_errors = max_disk_errors
         self.max_quarantine = max_quarantine
         self.stats = CacheStats()
+        self._lock = threading.Lock()
         self._disk_error_streak = 0
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         # Descent trajectories are memory-only: a SharedDescent holds
@@ -245,32 +253,39 @@ class AnalysisCache:
 
         fps = tuple(p.fingerprint() for p in programs)
         key = (fps, policy)
-        descent = self._descents.get(key)
+        with self._lock:
+            descent = self._descents.get(key)
+            if descent is not None:
+                self._descents.move_to_end(key)
+                self.stats.descent_hits += 1
+            else:
+                self.stats.descent_misses += 1
         if descent is not None:
-            self._descents.move_to_end(key)
-            self.stats.descent_hits += 1
             self._note("cache.descent_hit", fps[0] if fps else "")
             return descent
-        self.stats.descent_misses += 1
         self._note("cache.descent_miss", fps[0] if fps else "")
         analyses = [self.analyze(p) for p in programs]
         bounds = [self.bounds(p) for p in programs]
         descent = SharedDescent(analyses, policy=policy, bounds=bounds)
-        self._descents[key] = descent
-        while len(self._descents) > self.descent_capacity:
-            self._descents.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            self._descents[key] = descent
+            self._descents.move_to_end(key)
+            while len(self._descents) > self.descent_capacity:
+                self._descents.popitem(last=False)
+                self.stats.evictions += 1
         return descent
 
     def clear(self) -> None:
         """Drop every in-memory entry (the disk layer is left alone)."""
-        self._entries.clear()
-        self._descents.clear()
+        with self._lock:
+            self._entries.clear()
+            self._descents.clear()
 
     def clear_descents(self) -> None:
         """Drop only the descent trajectories (benchmarks use this to
         time a cold descent against warm analyses)."""
-        self._descents.clear()
+        with self._lock:
+            self._descents.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -294,20 +309,24 @@ class AnalysisCache:
                 reg.counter(event, kernel=kernel).inc()
 
     def _count_miss(self, fp: str, kernel: Optional[str] = None) -> None:
-        self.stats.misses += 1
+        with self._lock:
+            self.stats.misses += 1
         self._note("cache.miss", fp, kernel)
 
     def _entry(self, fp: str, program: Program) -> _Entry:
-        entry = self._entries.get(fp)
+        with self._lock:
+            entry = self._entries.get(fp)
+            if entry is not None:
+                self._entries.move_to_end(fp)
+                self.stats.hits += 1
         if entry is not None:
-            self._entries.move_to_end(fp)
-            self.stats.hits += 1
             self._note("cache.hit", fp, program.name)
             return entry
         entry = self._disk_load(fp)
         if entry is not None:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
+            with self._lock:
+                self.stats.hits += 1
+                self.stats.disk_hits += 1
             self._note("cache.hit", fp, program.name)
             self._insert(fp, entry)
             return entry
@@ -318,11 +337,12 @@ class AnalysisCache:
         return entry
 
     def _insert(self, fp: str, entry: _Entry) -> None:
-        self._entries[fp] = entry
-        self._entries.move_to_end(fp)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        with self._lock:
+            self._entries[fp] = entry
+            self._entries.move_to_end(fp)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
 
     # ------------------------------------------------------------------
     # On-disk layer.
@@ -333,8 +353,9 @@ class AnalysisCache:
     def _disk_fail(self, fp: str, exc: BaseException, action: str) -> None:
         """Count a disk-layer failure; degrade to memory-only if they
         keep coming (the ``cache.disk_to_memory`` rung)."""
-        self.stats.disk_errors += 1
-        self._disk_error_streak += 1
+        with self._lock:
+            self.stats.disk_errors += 1
+            self._disk_error_streak += 1
         em = obs.get_emitter()
         if em.enabled:
             em.emit(

@@ -429,6 +429,11 @@ class AllocContext:
         * every occupied slot of every range belongs to exactly one piece;
         * colors fit the palette; boundary pieces use private colors;
         * no two truly-conflicting pieces share a color.
+
+        A context with no split range checks the last invariant against
+        the per-range neighbour masks; only a split context, or a clash
+        to report, reads the per-pair slot index
+        (:meth:`ThreadAnalysis.conflict_pairs`).
         """
         an = self.analysis
         for reg, slots in an.slots.items():
@@ -447,15 +452,18 @@ class AllocContext:
                     f"boundary piece {piece.pid} ({piece.reg}) uses shared "
                     f"color {piece.color} (pr={self.pr})"
                 )
+        pieces = self.pieces
+        counts = self._piece_count
+        if max(counts.values(), default=0) <= 1 and not self._colors_clash():
+            return
         # Walk the precomputed true-conflict pairs instead of re-deriving
         # them from occupants x occupants interferes_at() probes -- the
         # same checks at a fraction of the cost.  When neither range of a
         # pair is split, every conflicting slot compares the same two
         # pieces, so a single comparison covers them all; only pairs with
-        # a split side need the per-slot sweep.
-        pieces = self.pieces
+        # a split side need the per-slot sweep.  An unsplit context gets
+        # here only with a clash to report, so its message is the walk's.
         assign = self._assign
-        counts = self._piece_count
         for (a, b), cslots in an.conflict_pairs().items():
             ma = assign.get(a)
             mb = assign.get(b)
@@ -471,6 +479,22 @@ class AllocContext:
                         f"{a} and {b} conflict at slot {s} but share "
                         f"color {pa.color}"
                     )
+
+    def _colors_clash(self) -> bool:
+        """Does a range share its color with a conflict neighbour?
+
+        The conflict check of an unsplit context, where each range is
+        one piece: per color, the mask of the ranges using it, against
+        each range's neighbour mask
+        (:meth:`ThreadAnalysis.conflict_neighbors`).
+        """
+        rank, masks = self.analysis.conflict_neighbors()
+        users: Dict[int, int] = {}
+        for p in self.pieces.values():
+            users[p.color] = users.get(p.color, 0) | (1 << rank[p.reg])
+        return any(
+            masks[rank[p.reg]] & users[p.color] for p in self.pieces.values()
+        )
 
 
 def initial_context(

@@ -383,7 +383,7 @@ class DenseAnalysisIndex:
     the allocation context's conflict probes answer from.
     """
 
-    __slots__ = ("dmap", "_slot_masks", "_conflict_masks", "_dl", "_pairs")
+    __slots__ = ("dmap", "_slot_masks", "_conflict_masks", "_dl")
 
     def __init__(
         self, dmap: DenseMap, slot_masks: List[int], dl: "DenseLiveness"
@@ -392,7 +392,6 @@ class DenseAnalysisIndex:
         self._slot_masks = slot_masks
         self._conflict_masks: Dict[Reg, Dict[Reg, int]] = {}
         self._dl = dl
-        self._pairs: Optional[Dict[Tuple[int, int], List[int]]] = None
 
     def slot_mask(self, reg: Reg) -> int:
         i = self.dmap.index.get(reg)
@@ -416,6 +415,32 @@ class DenseAnalysisIndex:
             self._conflict_masks[reg] = cm
         return cm
 
+    def conflict_neighbor_masks(self) -> List[int]:
+        """Per range (by dense rank), the mask of the ranges it truly
+        conflicts with at some slot.
+
+        The source of ``ThreadAnalysis.conflict_neighbors``: each
+        occupant's conflict mask at each slot (the three formulas in the
+        module docstring), ORed over the slots.  Not memoized: the
+        analysis keeps the one copy.
+        """
+        dl = self._dl
+        nbr = [0] * len(self.dmap)
+        for om, d, dy in zip(dl.occ, dl.defs, dl.dying):
+            if not (om & (om - 1)):
+                continue  # fewer than two occupants: no pairs
+            dm = d & om
+            dnd = dy & om & ~dm
+            for ai in bit_indices(om):
+                abit = 1 << ai
+                if dm & abit:
+                    nbr[ai] |= om & ~dnd
+                elif dy & abit:
+                    nbr[ai] |= om & ~dm
+                else:
+                    nbr[ai] |= om
+        return [m & ~(1 << ai) for ai, m in enumerate(nbr)]
+
     def conflict_pair_slots(self) -> Dict[Tuple[int, int], List[int]]:
         """Each unordered conflicting pair once, by dense rank, with its
         ascending conflict-slot list.
@@ -423,41 +448,40 @@ class DenseAnalysisIndex:
         The int-space source of ``ThreadAnalysis.conflict_pairs``: the
         per-slot conflict relation re-derived from the liveness masks
         entirely in index space, so no register object is hashed per
-        pair.  Lazy -- analyses that never validate a context never pay.
+        pair.  Not memoized: the analysis keeps the one copy, re-keyed
+        by register.
         """
-        if self._pairs is None:
-            dl = self._dl
-            grouped: Dict[Tuple[int, int], List[int]] = {}
-            for s, om in enumerate(dl.occ):
-                if not (om & (om - 1)):
-                    continue
-                dm = dl.defs[s] & om
-                dym = dl.dying[s] & om
-                dnd = dym & ~dm
-                idxs = list(bit_indices(om))
-                plain = not (dm and dym)
-                for ai in idxs:
-                    abit = 1 << ai
-                    if plain:
-                        conf = om
-                    elif dm & abit:
-                        conf = om & ~dnd
-                    elif dym & abit:
-                        conf = om & ~dm
+        dl = self._dl
+        grouped: Dict[Tuple[int, int], List[int]] = {}
+        for s, om in enumerate(dl.occ):
+            if not (om & (om - 1)):
+                continue
+            dm = dl.defs[s] & om
+            dym = dl.dying[s] & om
+            dnd = dym & ~dm
+            idxs = list(bit_indices(om))
+            plain = not (dm and dym)
+            for ai in idxs:
+                abit = 1 << ai
+                if plain:
+                    conf = om
+                elif dm & abit:
+                    conf = om & ~dnd
+                elif dym & abit:
+                    conf = om & ~dm
+                else:
+                    conf = om
+                conf &= ~((abit << 1) - 1)  # each pair once: b > a
+                while conf:
+                    low = conf & -conf
+                    conf ^= low
+                    key = (ai, low.bit_length() - 1)
+                    g = grouped.get(key)
+                    if g is None:
+                        grouped[key] = [s]
                     else:
-                        conf = om
-                    conf &= ~((abit << 1) - 1)  # each pair once: b > a
-                    while conf:
-                        low = conf & -conf
-                        conf ^= low
-                        key = (ai, low.bit_length() - 1)
-                        g = grouped.get(key)
-                        if g is None:
-                            grouped[key] = [s]
-                        else:
-                            g.append(s)
-            self._pairs = grouped
-        return self._pairs
+                        g.append(s)
+        return grouped
 
 
 def finish_analysis_dense(

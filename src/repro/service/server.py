@@ -43,6 +43,7 @@ event capture): ``service.requests{status=}``, ``service.queue_depth``,
 
 from __future__ import annotations
 
+import gc
 import http.server
 import json
 import math
@@ -78,6 +79,17 @@ VERDICT_MAX_CYCLES = 5_000_000
 #: Extra seconds a caller waits past its own deadline for the worker's
 #: typed DeadlineExceeded to arrive before raising its own.
 _WAIT_GRACE = 0.25
+
+#: Collector thresholds ``repro serve`` sets once, before it serves.  A
+#: cold request allocates far more objects than the default 700 per
+#: young collection, so under the default each request's young
+#: collections promoted its fresh analysis-cache entries to the old
+#: generation, and full collections walked the whole cached heap.
+#: Young collections still run at these thresholds, so cyclic garbage
+#: stays bounded (``docs/SERVICE.md``).  Set by
+#: :func:`repro.cli.cmd_serve`, which owns the process, not by
+#: :class:`ReproServer`, which tests embed.
+SERVE_GC_THRESHOLD = (50_000, 20, 100)
 
 
 @dataclass
@@ -208,6 +220,7 @@ class ServiceCore:
         """The ``/statusz`` document (also handy for tests and drain)."""
         with self._counts_lock:
             counts = dict(sorted(self._status_counts.items()))
+            pipeline_runs = self.pipeline_runs
         return {
             "schema": "repro.service.status/1",
             "draining": self.draining,
@@ -219,10 +232,14 @@ class ServiceCore:
                 "shed": self.queue.shed_count,
             },
             "requests": counts,
-            "pipeline_runs": self.pipeline_runs,
+            "pipeline_runs": pipeline_runs,
             "inflight": len(self.coalescer),
             "store_entries": len(self.store),
             "breakers": self.breakers.states(),
+            "gc": {
+                "threshold": list(gc.get_threshold()),
+                "collections": [g["collections"] for g in gc.get_stats()],
+            },
         }
 
     def ledger_metrics(self) -> Dict[str, float]:
@@ -230,11 +247,12 @@ class ServiceCore:
         with self._counts_lock:
             total = sum(self._status_counts.values())
             ok = self._status_counts.get("ok", 0)
+            pipeline_runs = self.pipeline_runs
         return {
             "service.requests": float(total),
             "service.ok": float(ok),
             "service.shed": float(self.queue.shed_count),
-            "service.pipeline_runs": float(self.pipeline_runs),
+            "service.pipeline_runs": float(pipeline_runs),
             "service.breaker_trips": float(
                 sum(b.trips for b in self.breakers.breakers.values())
             ),
@@ -364,7 +382,7 @@ class ServiceCore:
     def _store_get(self, key: str) -> Optional[Dict[str, Any]]:
         breaker = self.breakers["store"]
         if not breaker.allow():
-            return self.store._memory.get(key)  # memory overlay only
+            return self.store.recall(key)  # memory overlay only
         try:
             payload = self.store.get(key)
         except Exception as exc:
@@ -379,7 +397,7 @@ class ServiceCore:
     def _store_put(self, key: str, payload: Dict[str, Any]) -> None:
         breaker = self.breakers["store"]
         if not breaker.allow():
-            self.store._remember(key, payload)
+            self.store.remember(key, payload)
             return
         try:
             self.store.put(key, payload)
@@ -482,7 +500,8 @@ class ServiceCore:
                 policy=opts["policy"],
                 deadline=job.deadline,
             )
-            self.pipeline_runs += 1
+            with self._counts_lock:
+                self.pipeline_runs += 1
             payload = protocol.outcome_payload(outcome)
             if opts["verify"]:
                 job.deadline.check("verify")

@@ -16,6 +16,10 @@ treated as a miss, with the quarantine capped by the same
 oldest-first trim as the analysis cache
 (:func:`repro.core.cache.trim_quarantine`).
 
+The service's worker and HTTP threads share one store.  One lock
+guards the memory overlay's bookkeeping (look-up and touch, insert and
+evict); it is never held across disk I/O.
+
 Failure policy: store trouble **never fails a request** -- the service
 core wraps every call in the ``store`` circuit breaker; repeated
 failures trip the ``service.store_to_memory`` rung and the store keeps
@@ -30,6 +34,7 @@ import json
 import os
 import pathlib
 import tempfile
+import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Union
 
@@ -61,6 +66,7 @@ class ResultStore:
         self.memory_entries = memory_entries
         self.max_quarantine = max_quarantine
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _note(self, result: str) -> None:
@@ -73,13 +79,25 @@ class ResultStore:
             raise ValueError(f"malformed store key {key!r}")
         return self.root / f"{key}.json"
 
-    def _remember(self, key: str, payload: Dict[str, Any]) -> None:
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
-            self._memory.popitem(last=False)
-
     # ------------------------------------------------------------------
+    def recall(self, key: str) -> Optional[Dict[str, Any]]:
+        """The memory overlay's payload for ``key``, or ``None``; never
+        touches the disk."""
+        with self._lock:
+            payload = self._memory.get(key)
+            if payload is not None:
+                self._memory.move_to_end(key)
+            return payload
+
+    def remember(self, key: str, payload: Dict[str, Any]) -> None:
+        """Put ``payload`` in the memory overlay only, evicting the
+        least recently used entries past its capacity."""
+        with self._lock:
+            self._memory[key] = payload
+            self._memory.move_to_end(key)
+            while len(self._memory) > self.memory_entries:
+                self._memory.popitem(last=False)
+
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The stored payload for ``key``, or ``None``.
 
@@ -89,9 +107,8 @@ class ResultStore:
         reported as a miss, not an error: the payload is gone either
         way and recomputing is the fix.
         """
-        cached = self._memory.get(key)
+        cached = self.recall(key)
         if cached is not None:
-            self._memory.move_to_end(key)
             self._note("memory-hit")
             return cached
         path = self._path(key)
@@ -123,7 +140,7 @@ class ResultStore:
                 )
             self._note("corrupt")
             return None
-        self._remember(key, payload)
+        self.remember(key, payload)
         self._note("disk-hit")
         return payload
 
@@ -137,7 +154,7 @@ class ResultStore:
         by then, so the caller's breaker can absorb the failure without
         losing the result for this process's lifetime.
         """
-        self._remember(key, payload)
+        self.remember(key, payload)
         path = self._path(key)
         if path is None:
             self._note("memory-put")

@@ -361,3 +361,29 @@ def test_quarantine_cap_applies_on_cache_quarantine(tmp_path):
         # only the .bad files accumulate
         path.unlink()
     assert len(list(tmp_path.glob("*.bad"))) <= 2
+
+
+def test_lru_survives_racing_threads(monkeypatch):
+    # A hit whose entry another thread evicts before the touch used to
+    # raise KeyError out of _entry: an untyped 500 in the service.
+    from repro.core import cache as cache_mod
+    from tests.test_service import hammer_threads
+
+    monkeypatch.setattr(cache_mod, "_analyze_resilient", lambda p: p.name)
+    cache = AnalysisCache(capacity=2)
+    programs = [prog(MINI_KERNEL, f"k{i}") for i in range(4)]
+    errors = []
+
+    def hammer(seed):
+        try:
+            for n in range(2_000):
+                program = programs[(n + seed) % len(programs)]
+                assert cache.analyze(program) == program.name
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    hammer_threads(hammer)
+    assert errors == []
+    assert len(cache) == 2
+    # No counter update was lost.
+    assert cache.stats.hits + cache.stats.misses == 4 * 2_000

@@ -39,7 +39,7 @@ from repro.core.dense import mask_of_slots
 from repro.core.pipeline import allocate_programs
 from repro.harness.allocperf import build_grid
 from repro.igraph import coloring
-from repro.igraph.graph import UndirectedGraph
+from repro.igraph.graph import UndirectedGraph, bit_indices
 from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
@@ -188,6 +188,23 @@ def assert_analyses_identical(ra, da):
     assert ra.conflicts_at == da.conflicts_at
     # Derived indexes built lazily from the above.
     assert ra.conflict_pairs() == da.conflict_pairs()
+    assert ra.conflict_neighbors() == da.conflict_neighbors()
+    for an in (ra, da):
+        assert neighbor_pairs(an) == pair_set(an)
+
+
+def neighbor_pairs(an):
+    """The neighbour relation as ordered range pairs."""
+    rank, masks = an.conflict_neighbors()
+    regs = sorted(rank, key=rank.get)
+    return {
+        (a, regs[i]) for a in regs for i in bit_indices(masks[rank[a]])
+    }
+
+
+def pair_set(an):
+    """``conflict_pairs()`` as ordered range pairs, both directions."""
+    return {p for a, b in an.conflict_pairs() for p in ((a, b), (b, a))}
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))

@@ -14,13 +14,19 @@ The headline robustness invariants gated here:
   content-addressed store without recomputing.
 """
 
+import gc
 import json
+import os
 import pathlib
+import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.core.pipeline import allocate_programs
 from repro.errors import (
     AllocationError,
@@ -36,7 +42,12 @@ from repro.service import protocol
 from repro.service.admission import AdmissionQueue
 from repro.service.breaker import CircuitBreaker
 from repro.service.coalesce import Coalescer
-from repro.service.server import ReproServer, ServiceConfig, ServiceCore
+from repro.service.server import (
+    SERVE_GC_THRESHOLD,
+    ReproServer,
+    ServiceConfig,
+    ServiceCore,
+)
 from repro.service.store import ResultStore
 from tests.conftest import FIG3_T1, MINI_KERNEL
 
@@ -47,6 +58,22 @@ def doc_for(*, nreg=NREG, **extra):
     d = {"programs": [{"asm": MINI_KERNEL, "name": "k"}], "nreg": nreg}
     d.update(extra)
     return d
+
+
+def hammer_threads(target, n=4):
+    """Run ``target(i)`` on ``n`` threads at once, switching threads as
+    often as the interpreter allows, and wait (bounded) for them all."""
+    threads = [threading.Thread(target=target, args=(i,)) for i in range(n)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(t.is_alive() for t in threads)
 
 
 def direct_payload(nreg=NREG):
@@ -280,6 +307,35 @@ class TestStore:
         store = ResultStore(tmp_path)
         with pytest.raises(ValueError):
             store.put("../escape", {"x": 1})
+
+    def test_memory_lru_survives_racing_threads(self):
+        # A look-up that finds a key another thread evicts before the
+        # touch used to raise KeyError: a spurious breaker failure.
+        store = ResultStore(memory_entries=2)
+        keys = [f"{i:02x}" * 32 for i in range(4)]
+        errors = []
+
+        def hammer(seed):
+            try:
+                for n in range(20_000):
+                    key = keys[(n + seed) % len(keys)]
+                    if n % 2:
+                        store.put(key, {"n": n})
+                    else:
+                        store.get(key)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        hammer_threads(hammer)
+        assert errors == []
+        assert len(store) == 2
+
+    def test_recall_reads_only_the_memory_overlay(self, tmp_path):
+        ResultStore(tmp_path).put(self.KEY, {"x": 1})
+        fresh = ResultStore(tmp_path)
+        assert fresh.recall(self.KEY) is None  # on disk, not in memory
+        fresh.remember(self.KEY, {"x": 2})
+        assert fresh.recall(self.KEY) == {"x": 2}
 
 
 # ----------------------------------------------------------------------
@@ -664,6 +720,22 @@ class TestServiceCore:
         assert snap["counters"][
             'service.requests{status="RequestRejected"}'] == 1
 
+    def test_status_reports_the_collector_without_setting_it(self):
+        # An embedded core leaves the thresholds to the process owner.
+        before = gc.get_threshold()
+        core = self.make()
+        core.start()
+        try:
+            core.submit(doc_for())
+            status = core.status_snapshot()
+        finally:
+            core.drain(5.0)
+        assert gc.get_threshold() == before
+        assert status["gc"]["threshold"] == list(before)
+        counts = status["gc"]["collections"]
+        assert len(counts) == len(gc.get_stats())
+        assert all(isinstance(n, int) and n >= 0 for n in counts)
+
 
 # ----------------------------------------------------------------------
 # HTTP frontend + client.
@@ -817,6 +889,32 @@ class TestHTTP:
             conn.close()
         assert resp.status == 404
         assert doc["error"]["type"] == "RequestRejected"
+
+    def test_serve_process_sets_the_collector_thresholds(self):
+        src = pathlib.Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        )
+        watchdog = threading.Timer(60.0, proc.kill)
+        watchdog.start()
+        try:
+            banner = proc.stdout.readline().strip()
+            assert banner.startswith("serving on http://"), banner
+            host, port = banner.rsplit("/", 1)[1].rsplit(":", 1)
+            from repro.service.client import ServiceClient
+
+            status = ServiceClient(host=host, port=int(port)).status()
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30)
+            watchdog.cancel()
+        assert status["gc"]["threshold"] == list(SERVE_GC_THRESHOLD)
+        assert proc.returncode == 0
 
     def test_drain_flips_readiness_and_sheds(self, tmp_path):
         server = ReproServer(ServiceConfig(workers=1), port=0)
