@@ -13,9 +13,13 @@ contains the complete stack the paper's system needs:
 * :mod:`repro.baseline` -- the Chaitin-with-spilling comparator;
 * :mod:`repro.sim` -- a cycle-level multithreaded micro-engine simulator
   with a dynamic register-safety checker;
-* :mod:`repro.suite` -- the 11 packet-processing benchmarks;
+* :mod:`repro.suite` -- the 11 packet-processing benchmarks, written
+  directly in npir;
 * :mod:`repro.harness` -- regenerators for every table and figure of the
-  paper's evaluation.
+  paper's evaluation;
+* :mod:`repro.obs`, :mod:`repro.resilience`, :mod:`repro.service` --
+  telemetry, fault injection and the degradation ladder, and the HTTP
+  allocation service.
 
 Quickstart::
 
@@ -60,8 +64,6 @@ from repro.sim import (
     run_threads,
 )
 from repro.suite import BENCHMARKS, load as load_benchmark
-from repro.npc import compile_source
-from repro.opt import optimize
 
 __version__ = "1.0.0"
 
@@ -92,7 +94,5 @@ __all__ = [
     "outputs_match",
     "BENCHMARKS",
     "load_benchmark",
-    "compile_source",
-    "optimize",
     "__version__",
 ]

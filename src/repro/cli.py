@@ -16,9 +16,6 @@ Commands:
 ``profile FILE... [--nreg N] [--packets P] [--json OUT] [--engine E]``
     Allocate (and simulate) under full telemetry; print per-phase wall
     times, allocator decision counts, and simulator cycle accounting.
-``encode FILE [-o OUT]``
-    Assemble an allocated (physical-register) program to 64-bit machine
-    words (hex, one per line).
 ``bench {table1,table2,table3,fig14,perf,alloc,analysis,trend}``
     Regenerate one of the paper's tables/figures, or the engine
     (``perf``) / allocation-pipeline (``alloc``, including the
@@ -88,7 +85,6 @@ from repro.core.bounds import estimate_bounds
 from repro.core.pipeline import allocate_programs
 from repro.errors import ReproError
 from repro.obs import events as obs
-from repro.ir.encoding import encode_program
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
 from repro.ir.program import Program
@@ -102,10 +98,6 @@ def _load_program(spec: str) -> Program:
     if spec.startswith("bench:"):
         return load(spec[len("bench:"):])
     path = pathlib.Path(spec)
-    if path.suffix == ".npc":
-        from repro.npc import compile_source
-
-        return compile_source(path.read_text(), path.stem)
     program = parse_program(path.read_text(), path.stem)
     validate_program(program)
     return program
@@ -272,43 +264,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     if args.json:
         out = write_json(args.json, report.to_dict())
         print(f"wrote profile to {out}", file=sys.stderr)
-    return 0
-
-
-def cmd_compile(args: argparse.Namespace) -> int:
-    from repro.npc import compile_source
-
-    source = pathlib.Path(args.file).read_text()
-    program = compile_source(
-        source,
-        pathlib.Path(args.file).stem,
-        optimize=not args.no_opt,
-    )
-    text = format_program(program)
-    if args.output:
-        pathlib.Path(args.output).write_text(text)
-        print(f"wrote {len(program.instrs)} instructions to {args.output}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def cmd_encode(args: argparse.Namespace) -> int:
-    program = _load_program(args.file)
-    if program.virtual_regs():
-        print(
-            "error: program uses virtual registers; allocate it first "
-            "(repro allocate ... -o DIR)",
-            file=sys.stderr,
-        )
-        return 1
-    words = encode_program(program)
-    text = "\n".join(f"{w:016x}" for w in words) + "\n"
-    if args.output:
-        pathlib.Path(args.output).write_text(text)
-        print(f"wrote {len(words)} words to {args.output}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -663,19 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flag(p)
     _add_perf_flags(p)
     p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("compile", help="compile npc source to npir assembly")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.add_argument(
-        "--no-opt", action="store_true", help="skip the optimizer passes"
-    )
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("encode", help="assemble to 64-bit machine words")
-    p.add_argument("file")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser(
         "bench",

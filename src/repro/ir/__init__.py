@@ -14,6 +14,9 @@ Public surface:
   with label resolution.
 * :mod:`repro.ir.parser` / :mod:`repro.ir.printer` -- text round-trip.
 * :mod:`repro.ir.validate` -- structural validation.
+
+:mod:`repro.ir.encoding` (the 64-bit binary encoder and decoder for
+allocated programs) is not re-exported here; import it directly.
 """
 
 from repro.ir.opcodes import Opcode, OpSpec, SPECS
@@ -23,7 +26,6 @@ from repro.ir.program import Program
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_instruction, format_program
 from repro.ir.validate import validate_program
-from repro.ir.encoding import decode_program, encode_program
 
 __all__ = [
     "Opcode",
@@ -40,6 +42,4 @@ __all__ = [
     "format_instruction",
     "format_program",
     "validate_program",
-    "encode_program",
-    "decode_program",
 ]

@@ -2,8 +2,8 @@
 
 Operands are small immutable value objects:
 
-* :class:`VirtualReg` -- a named virtual register (``%sum``) produced by the
-  front end and consumed by the register allocator.
+* :class:`VirtualReg` -- a named virtual register (``%sum``), as written
+  in the kernels and consumed by the register allocator.
 * :class:`PhysReg` -- a physical register (``$r7``) in the micro-engine's
   shared general-purpose register file.
 * :class:`Imm` -- a 32-bit immediate constant (values are wrapped modulo

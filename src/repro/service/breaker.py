@@ -13,8 +13,11 @@ three-state machine:
     skipped-with-flag).  After ``cooldown`` seconds the breaker
     half-opens.
 ``half-open``
-    one probe call is allowed through.  Success closes the breaker;
-    failure re-opens it and restarts the cooldown.
+    probing; every caller is allowed through until one reports.  The
+    first success closes the breaker; the first failure re-opens it
+    and restarts the cooldown.  A single-probe rule would need every
+    admitted caller to report, and a store miss reports nothing, so the
+    breaker could stay half-open for good.
 
 Where the degradation ladder (:mod:`repro.resilience.guard`) records
 *that* a fallback was taken, the breaker adds *when to stop trying and
@@ -27,10 +30,17 @@ gauge family (1 on the active state, 0 on the others) and emits a
 
 The clock is injectable (monotonic seconds) so tests and chaos
 scenarios drive cooldown expiry deterministically.
+
+Handlers and workers report on one breaker concurrently, so each
+breaker holds one reentrant lock across ``state``, ``success`` and
+``failure`` (``failure`` reads ``state`` under it): a streak that
+crosses the threshold on two threads at once trips, counts and records
+its rung once.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable, Dict, Optional
 
@@ -65,6 +75,7 @@ class CircuitBreaker:
         self.threshold = threshold
         self.cooldown = cooldown
         self._clock = clock
+        self._lock = threading.RLock()
         self._state = CLOSED
         self._failures = 0
         self._opened_at = 0.0
@@ -98,49 +109,52 @@ class CircuitBreaker:
     @property
     def state(self) -> str:
         """Current state, cooldown expiry applied lazily."""
-        if self._state == OPEN and (
-            self._clock() - self._opened_at >= self.cooldown
-        ):
-            self._transition(HALF_OPEN, reason="cooldown elapsed")
-        return self._state
+        with self._lock:
+            if self._state == OPEN and (
+                self._clock() - self._opened_at >= self.cooldown
+            ):
+                self._transition(HALF_OPEN, reason="cooldown elapsed")
+            return self._state
 
     def allow(self) -> bool:
         """May the guarded call run right now?
 
-        ``closed`` and ``half-open`` (the probe) allow; ``open`` skips.
+        ``closed`` and ``half-open`` (probing) allow; ``open`` skips.
         """
         return self.state != OPEN
 
     def success(self) -> None:
         """The guarded call succeeded; half-open probes close the breaker."""
-        state = self.state
-        self._failures = 0
-        if state == HALF_OPEN:
-            self._transition(CLOSED, reason="probe succeeded")
+        with self._lock:
+            state = self.state
+            self._failures = 0
+            if state == HALF_OPEN:
+                self._transition(CLOSED, reason="probe succeeded")
 
     def failure(self, reason: str = "") -> None:
         """The guarded call failed; trip when the streak hits threshold."""
-        state = self.state
-        if state == HALF_OPEN:
-            self._opened_at = self._clock()
-            self._transition(OPEN, reason=f"probe failed: {reason}")
-            return
-        self._failures += 1
-        if state == CLOSED and self._failures >= self.threshold:
-            self.trips += 1
-            self._opened_at = self._clock()
-            self._transition(
-                OPEN,
-                reason=f"{self._failures} consecutive failures "
-                f"(last: {reason})",
-            )
-            if self.rung is not None:
-                guard.record_degradation(
-                    self.rung,
-                    reason=f"breaker {self.site} tripped: {reason}",
-                    site=self.site,
-                    failures=self._failures,
+        with self._lock:
+            state = self.state
+            if state == HALF_OPEN:
+                self._opened_at = self._clock()
+                self._transition(OPEN, reason=f"probe failed: {reason}")
+                return
+            self._failures += 1
+            if state == CLOSED and self._failures >= self.threshold:
+                self.trips += 1
+                self._opened_at = self._clock()
+                self._transition(
+                    OPEN,
+                    reason=f"{self._failures} consecutive failures "
+                    f"(last: {reason})",
                 )
+                if self.rung is not None:
+                    guard.record_degradation(
+                        self.rung,
+                        reason=f"breaker {self.site} tripped: {reason}",
+                        site=self.site,
+                        failures=self._failures,
+                    )
 
 
 class BreakerBoard:

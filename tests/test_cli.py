@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import pathlib
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -93,6 +91,8 @@ def test_library_errors_exit_2_without_traceback(kernel_file, capsys):
         ["analyze", "--analysis-impl", "reference", "bench:crc"],
         ["bench", "table1", "--engine", "fast"],
         ["chaos", "--engine", "fast"],
+        ["compile", "kernel.npc"],
+        ["encode", "kernel.npir"],
     ],
     ids=[
         "fabric-command",
@@ -101,6 +101,8 @@ def test_library_errors_exit_2_without_traceback(kernel_file, capsys):
         "analysis-impl-flag",
         "bench-engine-flag",
         "chaos-engine-flag",
+        "compile-command",
+        "encode-command",
     ],
 )
 def test_removed_fabric_surface_is_a_usage_error(argv, tmp_path, capsys):
@@ -111,68 +113,8 @@ def test_removed_fabric_surface_is_a_usage_error(argv, tmp_path, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-def test_encode_requires_physical(kernel_file, capsys):
-    assert main(["encode", kernel_file]) == 1
-    assert "allocate it first" in capsys.readouterr().err
-
-
-def test_encode_round(tmp_path, kernel_file, capsys):
-    out_dir = tmp_path / "alloc"
-    main(["allocate", kernel_file, "--nreg", "16", "-o", str(out_dir)])
-    capsys.readouterr()
-    allocated = next(out_dir.iterdir())
-    binary = tmp_path / "code.hex"
-    assert main(["encode", str(allocated), "-o", str(binary)]) == 0
-    lines = binary.read_text().splitlines()
-    assert lines and all(len(l) == 16 for l in lines)
-
-
 def test_suite_listing(capsys):
     assert main(["suite"]) == 0
     out = capsys.readouterr().out
     assert "md5" in out and "wraps_recv" in out
 
-
-NPC_SRC = """
-while (1) {
-    p = recv();
-    if (p == 0) break;
-    mem[p + 1] = mem[p] * 4 + 2;
-    send(p);
-}
-halt();
-"""
-
-
-@pytest.fixture
-def npc_file(tmp_path):
-    path = tmp_path / "double.npc"
-    path.write_text(NPC_SRC)
-    return str(path)
-
-
-def test_compile_npc(npc_file, capsys):
-    assert main(["compile", npc_file]) == 0
-    out = capsys.readouterr().out
-    assert "recv" in out and "halt" in out
-    assert "shli" in out  # *4 strength-reduced
-
-
-def test_compile_npc_no_opt(npc_file, capsys):
-    assert main(["compile", npc_file, "--no-opt"]) == 0
-    out = capsys.readouterr().out
-    assert "muli" in out  # raw codegen keeps the multiply
-
-
-def test_run_npc_file_allocated(npc_file, capsys):
-    assert (
-        main(["run", npc_file, "--allocated", "--nreg", "8", "--packets", "3"])
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "verified against reference: True" in out
-
-
-def test_analyze_npc_file(npc_file, capsys):
-    assert main(["analyze", npc_file]) == 0
-    assert "bounds" in capsys.readouterr().out

@@ -256,30 +256,3 @@ def test_coloring_at_most_degree_plus_one(g):
     if len(g):
         max_deg = max(g.degree(n) for n in g.nodes())
         assert len(set(c.values())) <= max_deg + 1
-
-
-@SETTINGS
-@given(branching_program())
-def test_optimizer_preserves_semantics(text):
-    from repro.opt import optimize
-
-    program = parse_program(text, "gen")
-    validate_program(program)
-    out = optimize(program)
-    validate_program(out, check_init=False)
-    assert len(out.instrs) <= len(program.instrs)
-    a = reference_or_assume([program])
-    b = run_reference([out])
-    assert outputs_match(a, b)
-
-
-@SETTINGS
-@given(straightline_program())
-def test_optimizer_preserves_semantics_straightline(text):
-    from repro.opt import optimize
-
-    program = parse_program(text, "gen")
-    out = optimize(program)
-    a = reference_or_assume([program])
-    b = run_reference([out])
-    assert outputs_match(a, b)

@@ -403,6 +403,47 @@ class TestBreaker:
             b.failure("x")
         assert [d.rung for d in degs] == ["service.store_to_memory"]
 
+    def test_concurrent_failures_trip_once(self):
+        # The clock is read inside the trip.  It holds the first caller
+        # there until a second caller reads it too (or 1 s passes), so
+        # without the breaker's lock both failures cross the threshold
+        # and both trip.
+        calls = []
+        calls_lock = threading.Lock()
+        second = threading.Event()
+
+        def clock():
+            with calls_lock:
+                calls.append(None)
+                first = len(calls) == 1
+            if first:
+                second.wait(timeout=1.0)
+            else:
+                second.set()
+            return 0.0
+
+        b = CircuitBreaker(
+            "store",
+            rung="service.store_to_memory",
+            threshold=2,
+            cooldown=30.0,
+            clock=clock,
+        )
+        b.failure("x")  # streak 1; a closed breaker never reads the clock
+        with guard.watching() as degs:
+            threads = [
+                threading.Thread(target=b.failure, args=("x",))
+                for _ in range(2)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+                assert not t.is_alive()
+        assert b.trips == 1
+        assert [d.rung for d in degs] == ["service.store_to_memory"]
+        assert b.state == "open"
+
     def test_breaker_gauge_tracks_state(self):
         with obs_metrics.scoped() as reg:
             b, _ = self.make(threshold=1)
