@@ -13,20 +13,14 @@ Run with::
     pytest benchmarks/bench_ablation.py --benchmark-only -s
 """
 
-import os
-
 from benchmarks._util import publish
 from repro.core.cache import get_cache
 from repro.core.pipeline import allocate_programs
 from repro.harness.report import text_table
-from repro.harness.sweep import sweep_map
 from repro.sim.run import outputs_match, run_reference, run_threads
 from repro.suite.registry import load
 
 MIX = ("frag", "drr", "url", "ipchains")
-
-#: Worker processes for the budget sweep (the points are independent).
-JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "1"))
 
 
 def _floor(programs):
@@ -57,7 +51,7 @@ def _sweep_point(nreg):
     )
 
 
-def sweep_budget(jobs=JOBS):
+def sweep_budget():
     floor = _floor([load(n) for n in MIX])
     generous = 128
     budgets = [
@@ -65,7 +59,7 @@ def sweep_budget(jobs=JOBS):
         for nreg in sorted({generous, 40, 36, 34, 32, floor}, reverse=True)
         if nreg >= floor
     ]
-    rows = sweep_map(_sweep_point, budgets, jobs=jobs, label="ablation")
+    rows = [_sweep_point(nreg) for nreg in budgets]
     return floor, rows
 
 

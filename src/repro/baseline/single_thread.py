@@ -51,10 +51,6 @@ class BaselinePuAllocation:
     def programs(self) -> List[Program]:
         return [r.program for r in self.results]
 
-    @property
-    def total_spill_ops(self) -> int:
-        return sum(r.spill_ops for r in self.results)
-
 
 def allocate_pu_baseline(
     programs: Sequence[Program], nreg: int = 128

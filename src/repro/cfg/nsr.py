@@ -60,15 +60,6 @@ class NsrInfo:
             return 0.0
         return sum(len(r) for r in self.regions) / len(self.regions)
 
-    def regions_of(self, slots: FrozenSet[int]) -> Set[int]:
-        """NSR ids touched by a slot set (CSB slots contribute nothing)."""
-        out: Set[int] = set()
-        for s in slots:
-            rid = self.nsr_of[s]
-            if rid is not None:
-                out.add(rid)
-        return out
-
 
 def compute_nsr(liveness: Liveness) -> NsrInfo:
     """Build NSRs and classify every live range of the program."""

@@ -39,10 +39,9 @@ Flags that force a reference-only feature (e.g. ``run --allocated``)
 reject ``--engine fast`` with an error naming the forcing flag.
 Library errors (:class:`~repro.errors.ReproError`, e.g. an
 infeasible ``--nreg``) print ``error: <message>`` and exit 2.
-``profile`` and ``bench`` also accept ``--jobs N`` (parallel sweep /
-analysis workers) and ``--cache-dir DIR`` (persist the analysis cache
-on disk, also settable via ``REPRO_CACHE_DIR``); both default to the
-serial, in-memory behavior.  See "Allocator performance" in
+``profile`` and ``bench`` also accept ``--cache-dir DIR`` (persist the
+analysis cache on disk, also settable via ``REPRO_CACHE_DIR``; the
+default is in-memory only).  See "Allocator performance" in
 ``docs/PERFORMANCE.md``.
 ``chaos [--kernels a,b,c] [--scenarios x,y] [--seed N] [--json OUT]``
     Run the fault-injection chaos harness (``docs/ROBUSTNESS.md``):
@@ -258,7 +257,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         packets=args.packets,
         sim=not args.no_sim,
         engine=args.engine,
-        jobs=args.jobs,
     )
     print(render_report(report))
     if args.json:
@@ -274,17 +272,17 @@ def _run_bench_experiment(args: argparse.Namespace):
     if args.experiment == "table1":
         from repro.harness.table1 import render_table1, run_table1
 
-        rows = run_table1(jobs=args.jobs)
+        rows = run_table1()
         return render_table1(rows), [r.to_dict() for r in rows]
     if args.experiment == "table2":
         from repro.harness.table2 import render_table2, run_table2
 
-        rows = run_table2(jobs=args.jobs)
+        rows = run_table2()
         return render_table2(rows), [r.to_dict() for r in rows]
     if args.experiment == "table3":
         from repro.harness.table3 import render_table3, run_table3
 
-        scenarios = run_table3(jobs=args.jobs)
+        scenarios = run_table3()
         return render_table3(scenarios), [s.to_dict() for s in scenarios]
     if args.experiment == "perf":
         from repro.harness.perf import render_perf, run_perf, summarize_perf
@@ -297,7 +295,7 @@ def _run_bench_experiment(args: argparse.Namespace):
     if args.experiment == "alloc":
         from repro.harness.allocperf import render_alloc, run_alloc_bench
 
-        report = run_alloc_bench(jobs=args.jobs or None)
+        report = run_alloc_bench()
         return render_alloc(report), report.to_dict()
     if args.experiment == "analysis":
         from repro.harness.analysisperf import (
@@ -309,7 +307,7 @@ def _run_bench_experiment(args: argparse.Namespace):
         return render_analysis(report), report.to_dict()
     from repro.harness.fig14 import render_fig14, run_fig14
 
-    rows = run_fig14(jobs=args.jobs)
+    rows = run_fig14()
     return render_fig14(rows), [r.to_dict() for r in rows]
 
 
@@ -343,7 +341,6 @@ def _append_bench_ledger(args: argparse.Namespace, data) -> None:
     row = ledger.make_row(
         args.experiment,
         watched,
-        config={"jobs": args.jobs},
         fingerprints=_suite_fingerprints(),
         ts=time.time(),
     )
@@ -494,13 +491,6 @@ def _apply_cache_dir(args: argparse.Namespace) -> None:
 
 
 def _add_perf_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for parallel sweeps and analysis cache "
-        "misses (default 1: serial; results are identical either way)",
-    )
     p.add_argument(
         "--cache-dir",
         metavar="DIR",

@@ -53,7 +53,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.analysis import (
     ThreadAnalysis,
@@ -137,12 +137,6 @@ def _analyze_resilient(program: Program) -> ThreadAnalysis:
         return analyze_thread_reference(program)
 
 
-def _analyze_worker(program: Program) -> Tuple[ThreadAnalysis, Bounds]:
-    """Top-level (picklable) worker: full analysis bundle for one program."""
-    analysis = _analyze_resilient(program)
-    return analysis, estimate_bounds(analysis)
-
-
 class AnalysisCache:
     """Fingerprint-keyed LRU over ``(ThreadAnalysis, Bounds)`` pairs."""
 
@@ -200,42 +194,6 @@ class AnalysisCache:
     ) -> Tuple[ThreadAnalysis, Bounds]:
         """Both artifacts in one lookup."""
         return self.analyze(program), self.bounds(program)
-
-    def warm_many(
-        self, programs: Sequence[Program], jobs: int = 1
-    ) -> List[Tuple[ThreadAnalysis, Bounds]]:
-        """Fill the cache for ``programs`` and return their pairs in order.
-
-        With ``jobs > 1`` the cache misses are analysed in a parallel
-        sweep (:func:`repro.harness.sweep.sweep_map`) and the results
-        folded back into this (parent-process) cache, so a subsequent
-        serial pass is fully warm.  Duplicate programs are analysed once.
-        """
-        fps = [p.fingerprint() for p in programs]
-        missing: "OrderedDict[str, Program]" = OrderedDict()
-        for fp, program in zip(fps, programs):
-            if fp not in self._entries and fp not in missing:
-                if self._disk_load(fp) is None:
-                    missing[fp] = program
-        if missing and jobs > 1:
-            from repro.harness.sweep import sweep_map
-
-            pairs = sweep_map(
-                _analyze_worker, list(missing.values()), jobs=jobs,
-                label="analyze",
-            )
-            for (fp, program), (analysis, bounds) in zip(
-                missing.items(), pairs
-            ):
-                self._count_miss(fp, program.name)
-                entry = _Entry(analysis, bounds)
-                self._insert(fp, entry)
-                self._disk_store(fp, entry)
-                # _entry() below must not re-count these as fresh misses.
-        return [
-            (self._entry(fp, p).analysis, self.bounds(p))
-            for fp, p in zip(fps, programs)
-        ]
 
     def descent(self, programs: Sequence[Program], policy: str = "greedy"):
         """Memoized :class:`~repro.core.inter.SharedDescent` for this
@@ -308,11 +266,6 @@ class AnalysisCache:
             if kernel is not None:
                 reg.counter(event, kernel=kernel).inc()
 
-    def _count_miss(self, fp: str, kernel: Optional[str] = None) -> None:
-        with self._lock:
-            self.stats.misses += 1
-        self._note("cache.miss", fp, kernel)
-
     def _entry(self, fp: str, program: Program) -> _Entry:
         with self._lock:
             entry = self._entries.get(fp)
@@ -330,7 +283,9 @@ class AnalysisCache:
             self._note("cache.hit", fp, program.name)
             self._insert(fp, entry)
             return entry
-        self._count_miss(fp, program.name)
+        with self._lock:
+            self.stats.misses += 1
+        self._note("cache.miss", fp, program.name)
         entry = _Entry(_analyze_resilient(program), None)
         self._insert(fp, entry)
         self._disk_store(fp, entry)

@@ -119,14 +119,6 @@ class AllocContext:
         self._piece_count[reg] = self._piece_count.get(reg, 0) + 1
         return piece
 
-    def drop_piece(self, pid: int) -> None:
-        piece = self.pieces.pop(pid)
-        m = self._writable_map(piece.reg)
-        for s in piece.slots:
-            if m.get(s) == pid:
-                del m[s]
-        self._piece_count[piece.reg] -= 1
-
     def piece_of(self, reg: Reg, slot: int) -> Piece:
         return self.pieces[self._assign[reg][slot]]
 

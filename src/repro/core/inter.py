@@ -506,10 +506,6 @@ class SharedDescent:
         return self._engine.requirement()
 
     @property
-    def initial_requirement(self) -> int:
-        return self._trajectory[0]
-
-    @property
     def steps(self) -> int:
         """Committed reductions so far."""
         return self._engine.step_no

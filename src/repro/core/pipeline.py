@@ -89,14 +89,11 @@ class AllocationOutcome:
         return "\n".join(lines)
 
 
-def _analyze_all(cache, programs: Sequence[Program], jobs: int):
+def _analyze_all(cache, programs: Sequence[Program]):
     """One analyze attempt; carries the ``pipeline.analyze`` fault site."""
     spec = faults.fire("pipeline.analyze", threads=len(programs))
     if spec is not None:
         raise TransientError("injected transient analysis failure")
-    if jobs > 1:
-        pairs = cache.warm_many(programs, jobs=jobs)
-        return [a for a, _ in pairs]
     return [cache.analyze(p) for p in programs]
 
 
@@ -105,7 +102,6 @@ def allocate_programs(
     nreg: int,
     check_init: bool = True,
     policy: str = "greedy",
-    jobs: int = 1,
     deadline: Optional[Deadline] = None,
 ) -> AllocationOutcome:
     """Allocate registers for one PU running ``programs`` on its threads.
@@ -116,8 +112,6 @@ def allocate_programs(
         check_init: also verify no register is read uninitialised.
         policy: inter-thread reduction policy (``greedy`` or the
             ``round_robin`` ablation).
-        jobs: analyze cache misses in this many worker processes
-            (``repro.harness.sweep``); 1 keeps everything in-process.
         deadline: optional cooperative wall-clock budget; checked at
             every phase boundary, raising
             :class:`~repro.errors.DeadlineExceeded` once spent.
@@ -141,7 +135,7 @@ def allocate_programs(
         dl.check(deadline, "analyze")
         with _phase(em, "analyze"):
             analyses = guard.retry_transient(
-                lambda: _analyze_all(cache, programs, jobs),
+                lambda: _analyze_all(cache, programs),
                 label="pipeline.analyze",
             )
         dl.check(deadline, "bounds")
@@ -175,7 +169,6 @@ def allocate_programs_sweep(
     budgets: Sequence[int],
     check_init: bool = True,
     policy: str = "greedy",
-    jobs: int = 1,
     deadline: Optional[Deadline] = None,
 ) -> Dict[int, AllocationOutcome]:
     """Allocate one PU's threads at EVERY budget in one shared descent.
@@ -220,7 +213,7 @@ def allocate_programs_sweep(
         dl.check(deadline, "analyze")
         with _phase(em, "analyze"):
             analyses = guard.retry_transient(
-                lambda: _analyze_all(cache, programs, jobs),
+                lambda: _analyze_all(cache, programs),
                 label="pipeline.analyze",
             )
         dl.check(deadline, "bounds")
@@ -288,7 +281,6 @@ def allocate_with_spill_fallback(
     nreg: int,
     check_init: bool = True,
     max_spill_rounds: int = 16,
-    jobs: int = 1,
     deadline: Optional[Deadline] = None,
 ) -> HybridOutcome:
     """Cross-thread allocation with graceful degradation.
@@ -321,7 +313,6 @@ def allocate_with_spill_fallback(
                 current,
                 nreg,
                 check_init=check_init,
-                jobs=jobs,
                 deadline=deadline,
             )
             return HybridOutcome(outcome=outcome, spilled_per_thread=spilled)

@@ -48,7 +48,7 @@ class AllocationError(ReproError):
 
     def __reduce__(self):
         # Default exception pickling replays ``args`` only, which would
-        # drop ``requirement`` on the way back from sweep workers.
+        # drop ``requirement`` from a pickled or copied error.
         return (
             type(self),
             (self.args[0] if self.args else "", self.requirement),

@@ -1,4 +1,4 @@
-"""Allocation-pipeline throughput: cold vs warm-cache vs parallel vs descent.
+"""Allocation-pipeline throughput: cold vs warm-cache vs descent.
 
 The sweep grid covers every benchmark kernel at ``nthd`` identical
 threads under three register budgets derived from its own bounds --
@@ -7,7 +7,7 @@ floor (``nthd*MinPR + MinSRmax``), approached from above, and their
 midpoint -- so the measured work spans "no reduction needed" through
 "heavy Figure-8/10 splitting".
 
-Three passes over the same grid, all through the public
+Two passes over the same grid, both through the public
 :func:`~repro.core.pipeline.allocate_programs` entry point:
 
 * **cold** -- a fresh, empty analysis cache; every point re-analyzes.
@@ -16,15 +16,8 @@ Three passes over the same grid, all through the public
   harness.
 * **warm** -- the same cache again, now populated: only the
   budget-dependent phases (inter/assign/rewrite) still run.
-* **parallel** -- the grid through
-  :func:`~repro.harness.sweep.sweep_map` with ``jobs > 1`` worker
-  processes forked from the warm parent (the analysis cache rides
-  along fork copy-on-write); best wall-clock of two runs, since pool
-  spin-up absorbs most of the scheduler noise on a loaded host.  Its
-  baseline is still the *cold serial* pass: this is the wall-clock a
-  user gets from ``--jobs`` on a warmed CLI session.
 
-A fourth, **descent**, section measures the shared-descent win on the
+A third, **descent**, section measures the shared-descent win on the
 per-kernel *multi-budget query workload*: a :data:`LADDER_RUNGS`-rung
 budget ladder spanning the kernel's bounds floor to its zero-reduction
 ceiling (widened downward so kernels whose floor equals their ceiling
@@ -43,11 +36,11 @@ cache, so ``descent_speedup`` isolates the descent itself
 Every pass records the full allocation summary of every point (PR/SR
 vectors, move costs, SGR, totals, and the fingerprints of the rewritten
 programs); the report's ``identical`` flag is the byte-for-byte JSON
-equality of the three summary lists, ``descent_identical`` the same
-equality between the descent section's passes and the cold points, and
-any mismatch invalidates the speedups.  ``repro bench alloc`` or
-``pytest benchmarks/bench_alloc.py --benchmark-only -s`` regenerates
-``benchmarks/out/BENCH_alloc.json``.
+equality of the four summary lists (two runs of each pass),
+``descent_identical`` the same equality between the descent section's
+passes and the cold points, and any mismatch invalidates the speedups.
+``repro bench alloc`` or ``pytest benchmarks/bench_alloc.py
+--benchmark-only -s`` regenerates ``benchmarks/out/BENCH_alloc.json``.
 """
 
 from __future__ import annotations
@@ -62,7 +55,6 @@ from repro.core.cache import AnalysisCache, CacheStats, get_cache, scoped
 from repro.core.pipeline import allocate_programs, allocate_programs_sweep
 from repro.errors import AllocationError
 from repro.harness.report import text_table
-from repro.harness.sweep import default_jobs, sweep_map
 from repro.suite.registry import BENCHMARKS, load
 
 #: A sweep point: (kernel name, register budget, threads per PU).
@@ -216,8 +208,6 @@ class AllocBenchReport:
     points: List[Dict[str, Any]]
     cold_s: float
     warm_s: float
-    parallel_s: float
-    jobs: int
     cpu_count: int
     cache: Dict[str, int]
     identical: bool
@@ -230,10 +220,6 @@ class AllocBenchReport:
     @property
     def warm_speedup(self) -> float:
         return self.cold_s / self.warm_s if self.warm_s else 0.0
-
-    @property
-    def parallel_speedup(self) -> float:
-        return self.cold_s / self.parallel_s if self.parallel_s else 0.0
 
     @property
     def descent_speedup(self) -> float:
@@ -255,10 +241,7 @@ class AllocBenchReport:
             "grid_points": len(self.points),
             "cold_s": self.cold_s,
             "warm_s": self.warm_s,
-            "parallel_s": self.parallel_s,
             "warm_speedup": self.warm_speedup,
-            "parallel_speedup": self.parallel_speedup,
-            "jobs": self.jobs,
             "cpu_count": self.cpu_count,
             "cache": self.cache,
             "identical": self.identical,
@@ -275,27 +258,20 @@ class AllocBenchReport:
 def run_alloc_bench(
     names: Optional[Sequence[str]] = None,
     nthd: int = 4,
-    jobs: Optional[int] = None,
 ) -> AllocBenchReport:
-    """Measure the passes over the grid (see the module docstring).
-
-    ``jobs`` defaults to ``max(2, min(4, os.cpu_count()))`` so the
-    parallel pass always actually exercises worker processes.
-    """
-    if jobs is None:
-        jobs = max(2, min(4, default_jobs()))
+    """Measure the passes over the grid (see the module docstring)."""
     names = list(names or BENCHMARKS)
     with scoped(AnalysisCache(capacity=256)) as cache:
         grid = build_grid(names, nthd=nthd)
 
-        # Best of two runs for every timed pass (matching the parallel
-        # pass below): scheduler noise on a loaded single-core host
-        # easily swings a sub-second pass by 20%, which is enough to
-        # flip a speedup gate that the identical-summaries check says
-        # nothing is actually wrong with.  The cold pass clears the
-        # cache before each run (building the grid probed bounds; the
-        # cold pass must not see that); the stats snapshot reflects the
-        # final cold run plus the warm runs over it.
+        # Best of two runs for every timed pass: scheduler noise on a
+        # loaded single-core host easily swings a sub-second pass by
+        # 20%, which is enough to flip a speedup gate that the
+        # identical-summaries check says nothing is actually wrong
+        # with.  The cold pass clears the cache before each run
+        # (building the grid probed bounds; the cold pass must not see
+        # that); the stats snapshot reflects the final cold run plus
+        # the warm runs over it.
         cold_runs: List[List[Dict[str, Any]]] = []
         cold_s = float("inf")
         for _ in range(2):
@@ -312,17 +288,6 @@ def run_alloc_bench(
             start = time.perf_counter()
             warm_runs.append([_alloc_summary(p) for p in grid])
             warm_s = min(warm_s, time.perf_counter() - start)
-
-        # Workers fork from this (warm) process; the baseline remains
-        # the cold serial pass above.
-        runs: List[List[Dict[str, Any]]] = []
-        parallel_s = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            runs.append(
-                sweep_map(_alloc_summary, grid, jobs=jobs, label="alloc")
-            )
-            parallel_s = min(parallel_s, time.perf_counter() - start)
 
         # Descent section: the per-kernel multi-budget query workload,
         # old way vs one shared descent per kernel.  Both sides run on
@@ -346,7 +311,7 @@ def run_alloc_bench(
 
     as_json = [
         json.dumps(s, sort_keys=True)
-        for s in (*cold_runs, *warm_runs, *runs)
+        for s in (*cold_runs, *warm_runs)
     ]
     identical = all(j == as_json[0] for j in as_json[1:])
     cold_json = json.dumps(cold, sort_keys=True)
@@ -359,8 +324,6 @@ def run_alloc_bench(
         points=cold,
         cold_s=cold_s,
         warm_s=warm_s,
-        parallel_s=parallel_s,
-        jobs=jobs,
         cpu_count=os.cpu_count() or 1,
         cache=stats,
         identical=identical,
@@ -383,15 +346,12 @@ def render_alloc(report: AllocBenchReport) -> str:
     ]
     out = (
         f"Allocation pipeline throughput "
-        f"({len(report.points)} grid points, {report.jobs} jobs, "
-        f"{report.cpu_count} CPUs)\n"
+        f"({len(report.points)} grid points, {report.cpu_count} CPUs)\n"
     )
     out += text_table(headers, rows)
     out += (
         f"\ncold {report.cold_s:.3f}s"
         f"  warm {report.warm_s:.3f}s ({report.warm_speedup:.2f}x)"
-        f"  parallel {report.parallel_s:.3f}s "
-        f"({report.parallel_speedup:.2f}x)"
         f"\ndescent: per-budget {report.per_budget_s:.3f}s"
         f"  shared {report.descent_s:.3f}s "
         f"({report.descent_speedup:.2f}x)"

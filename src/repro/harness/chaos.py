@@ -2,8 +2,8 @@
 
 Each :class:`Scenario` arms one deterministic fault plan
 (:mod:`repro.resilience.faults`) and drives the subsystem that hosts
-the fault site -- allocation pipeline, analysis cache, parallel sweep,
-or simulator -- over real suite kernels.  Every run is classified:
+the fault site -- allocation pipeline, analysis cache, simulator or
+allocation service -- over real suite kernels.  Every run is classified:
 
 ``clean``
     no fault fired and the work succeeded (the baseline scenarios).
@@ -155,28 +155,6 @@ def _body_cache(ctx: _Ctx) -> None:
     cache.clear()  # force the next analyze through the disk layer
     outcome = allocate_programs(ctx.programs, ctx.nreg)
     verify_outcome(outcome, packets_per_thread=CHAOS_PACKETS)
-
-
-def _sweep_worker(x: int) -> int:
-    """Module-level (picklable) sweep worker."""
-    return x * x
-
-
-def _body_sweep(ctx: _Ctx) -> None:
-    """Run a parallel sweep through the armed ``sweep.pool`` fault and
-    require the recovered results to be exactly the serial answer."""
-    import warnings
-
-    from repro.harness.sweep import sweep_map
-
-    items = list(range(8))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        got = sweep_map(_sweep_worker, items, jobs=2, label="chaos")
-    if got != [x * x for x in items]:
-        raise InjectedFault(
-            f"sweep returned corrupted results after pool fault: {got}"
-        )
 
 
 def _body_sim(ctx: _Ctx) -> None:
@@ -421,22 +399,6 @@ SCENARIOS: Tuple[Scenario, ...] = (
         specs=(FaultSpec("cache.disk", mode="truncate", count=1),),
         expect="masked",
         body=_body_cache,
-    ),
-    Scenario(
-        name="sweep-pool-crash",
-        description="process pool breaks mid-sweep; missing items "
-        "finish serially with correct results",
-        specs=(FaultSpec("sweep.pool", mode="crash", count=1),),
-        expect="masked",
-        body=_body_sweep,
-    ),
-    Scenario(
-        name="sweep-pool-hang",
-        description="a sweep worker hangs; the pool is abandoned and "
-        "the sweep finishes serially",
-        specs=(FaultSpec("sweep.pool", mode="hang", count=1),),
-        expect="masked",
-        body=_body_sweep,
     ),
     Scenario(
         name="sim-stuck",

@@ -14,13 +14,11 @@ The headline number is the total saving of ``Nthd*PR + SR`` against
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.cache import get_cache
 from repro.baseline.single_thread import single_thread_register_count
-from repro.harness.report import text_table
-from repro.harness.sweep import sweep_map
+from repro.harness.report import check_serial, text_table
 from repro.suite.registry import BENCHMARKS, load
 
 
@@ -56,7 +54,7 @@ class Fig14Row:
 
 
 def _fig14_row(name: str, nthd: int, nreg: int) -> Fig14Row:
-    """One Figure-14 data point (module-level so sweeps can pickle it).
+    """One Figure-14 data point.
 
     The ``nthd`` threads run *the same* program, so it is loaded and
     analysed exactly once and the :class:`ThreadAnalysis` is shared by
@@ -88,13 +86,9 @@ def run_fig14(
     nreg: int = 128,
     jobs: int = 1,
 ) -> List[Fig14Row]:
-    """Compute every Figure-14 data point (in parallel when ``jobs>1``)."""
-    return sweep_map(
-        partial(_fig14_row, nthd=nthd, nreg=nreg),
-        list(names or BENCHMARKS),
-        jobs=jobs,
-        label="fig14",
-    )
+    """Compute every Figure-14 data point (all benchmarks by default)."""
+    check_serial(jobs)
+    return [_fig14_row(name, nthd, nreg) for name in names or BENCHMARKS]
 
 
 def average_saving(rows: Sequence[Fig14Row]) -> float:

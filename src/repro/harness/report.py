@@ -1,4 +1,5 @@
-"""Aligned plain-text tables for experiment output."""
+"""Aligned plain-text tables for experiment output, and the one
+argument check the paper's four ``run_*`` harnesses share."""
 
 from __future__ import annotations
 
@@ -43,3 +44,13 @@ def _fmt(v: object) -> str:
 
 def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def check_serial(jobs: int) -> None:
+    """Reject any ``jobs`` but 1: the harnesses run their rows serially.
+
+    The keyword stays on ``run_table1/2/3`` and ``run_fig14`` only
+    because ``perfbench/child.py`` still passes ``jobs=1``.
+    """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1 (rows run serially), got {jobs!r}")

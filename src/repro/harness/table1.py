@@ -9,12 +9,10 @@ coloring upper bounds ``MaxR`` / ``MaxPR``, and NSR count / average size.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.cache import get_cache
-from repro.harness.report import text_table
-from repro.harness.sweep import sweep_map
+from repro.harness.report import check_serial, text_table
 from repro.sim.run import run_reference
 from repro.suite.registry import BENCHMARKS, load
 
@@ -38,7 +36,7 @@ class Table1Row:
 
 
 def _table1_row(name: str, packets: int) -> Table1Row:
-    """One Table-1 row (module-level so sweeps can pickle it)."""
+    """One Table-1 row."""
     program = load(name)
     analysis, bounds = get_cache().analyze_with_bounds(program)
     ref = run_reference([program], packets_per_thread=packets)
@@ -61,12 +59,8 @@ def run_table1(
     names: Optional[Sequence[str]] = None, packets: int = 8, jobs: int = 1
 ) -> List[Table1Row]:
     """Compute every Table-1 row (all benchmarks by default)."""
-    return sweep_map(
-        partial(_table1_row, packets=packets),
-        list(names or BENCHMARKS),
-        jobs=jobs,
-        label="table1",
-    )
+    check_serial(jobs)
+    return [_table1_row(name, packets) for name in names or BENCHMARKS]
 
 
 def render_table1(rows: Sequence[Table1Row]) -> str:

@@ -14,8 +14,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.cache import get_cache
 from repro.core.intra import IntraAllocator
-from repro.harness.report import text_table
-from repro.harness.sweep import sweep_map
+from repro.harness.report import check_serial, text_table
 from repro.suite.registry import BENCHMARKS, load
 
 
@@ -38,7 +37,7 @@ class Table2Row:
 
 
 def _table2_row(name: str) -> Table2Row:
-    """One Table-2 row (module-level so sweeps can pickle it)."""
+    """One Table-2 row."""
     program = load(name)
     analysis, bounds = get_cache().analyze_with_bounds(program)
     allocator = IntraAllocator(analysis, bounds)
@@ -58,9 +57,8 @@ def run_table2(
     names: Optional[Sequence[str]] = None, jobs: int = 1
 ) -> List[Table2Row]:
     """Realize the minimal allocation for each benchmark, counting moves."""
-    return sweep_map(
-        _table2_row, list(names or BENCHMARKS), jobs=jobs, label="table2"
-    )
+    check_serial(jobs)
+    return [_table2_row(name) for name in names or BENCHMARKS]
 
 
 def render_table2(rows: Sequence[Table2Row]) -> str:

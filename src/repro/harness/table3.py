@@ -18,13 +18,11 @@ for the register-hungry threads, only 1-4% slowdown for the donors.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.baseline.single_thread import allocate_pu_baseline
 from repro.core.pipeline import allocate_programs
-from repro.harness.report import text_table
-from repro.harness.sweep import sweep_map
+from repro.harness.report import check_serial, text_table
 from repro.ir.program import Program
 from repro.sim.run import outputs_match, run_reference, run_threads
 from repro.suite.registry import load
@@ -145,17 +143,6 @@ def run_scenario(
     )
 
 
-def _table3_scenario(
-    item: Tuple[str, Tuple[str, ...]],
-    nreg: int,
-    packets: int,
-    verify: bool,
-) -> Table3Scenario:
-    """One scenario from a ``(label, names)`` pair (picklable for sweeps)."""
-    label, names = item
-    return run_scenario(label, names, nreg=nreg, packets=packets, verify=verify)
-
-
 def run_table3(
     scenarios: Optional[Dict[str, Tuple[str, ...]]] = None,
     nreg: int = 128,
@@ -163,13 +150,12 @@ def run_table3(
     verify: bool = True,
     jobs: int = 1,
 ) -> List[Table3Scenario]:
-    """Run every Table-3 scenario (in parallel when ``jobs>1``)."""
-    return sweep_map(
-        partial(_table3_scenario, nreg=nreg, packets=packets, verify=verify),
-        list((scenarios or SCENARIOS).items()),
-        jobs=jobs,
-        label="table3",
-    )
+    """Run every Table-3 scenario (all three by default)."""
+    check_serial(jobs)
+    return [
+        run_scenario(label, names, nreg=nreg, packets=packets, verify=verify)
+        for label, names in (scenarios or SCENARIOS).items()
+    ]
 
 
 def render_table3(scenarios: Sequence[Table3Scenario]) -> str:

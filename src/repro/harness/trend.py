@@ -40,7 +40,6 @@ WATCHED: Dict[str, str] = {
     "sim.speedup": "higher",            # fast engine vs reference (perf)
     "sim.fast_ips": "higher",           # fast-engine instructions/s
     "alloc.warm_speedup": "higher",     # warm cache vs cold pipeline
-    "alloc.parallel_speedup": "higher",  # parallel sweep vs cold serial
     "alloc.descent_speedup": "higher",  # shared descent vs per-budget
     "analysis.speedup": "higher",       # dense analysis vs reference
     "table1.cycles_per_iter": "lower",  # suite-total simulated cycles/iter
@@ -68,12 +67,11 @@ def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
             out["sim.fast_ips"] = float(summary["fast_ips"])
         elif bench == "alloc":
             out["alloc.warm_speedup"] = float(data["warm_speedup"])
-            out["alloc.parallel_speedup"] = float(data["parallel_speedup"])
             # Older BENCH_alloc.json payloads predate the descent
-            # section; ``.get`` keeps their warm/parallel metrics
-            # watched instead of voiding the whole extraction.  A
-            # diverged descent has a meaningless speedup; report
-            # nothing rather than a number the trend gate would accept.
+            # section; ``.get`` keeps their warm metric watched instead
+            # of voiding the whole extraction.  A diverged descent has
+            # a meaningless speedup; report nothing rather than a
+            # number the trend gate would accept.
             descent = data.get("descent_speedup")
             if isinstance(descent, (int, float)) and data.get(
                 "descent_identical", False

@@ -14,9 +14,6 @@ Public surface:
   with label resolution.
 * :mod:`repro.ir.parser` / :mod:`repro.ir.printer` -- text round-trip.
 * :mod:`repro.ir.validate` -- structural validation.
-
-:mod:`repro.ir.encoding` (the 64-bit binary encoder and decoder for
-allocated programs) is not re-exported here; import it directly.
 """
 
 from repro.ir.opcodes import Opcode, OpSpec, SPECS

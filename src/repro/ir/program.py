@@ -84,9 +84,8 @@ class Program:
 
         Two programs share a fingerprint exactly when their name, label
         table, and full instruction stream (opcode plus every operand,
-        in order) coincide -- the same identity the binary encoding
-        (:mod:`repro.ir.encoding`) captures, extended to virtual-register
-        programs so pre-allocation artifacts can be content-addressed.
+        in order) coincide, for virtual- and physical-register programs
+        alike, so pre-allocation artifacts can be content-addressed.
         Any instruction, operand, or label mutation therefore changes the
         digest, while parse -> print -> parse round trips preserve it.
 

@@ -13,7 +13,7 @@ Row shape (``schema: repro.ledger/1``)::
 
     {"schema": "repro.ledger/1", "bench": "perf",
      "ts": 1754550000.0, "commit": "79a5f3d",
-     "config": {"engine": "auto", "jobs": 1},
+     "config": {},
      "fingerprints": ["9ae2...", ...],
      "metrics": {"sim.speedup": 5.79, ...}}
 

@@ -25,8 +25,7 @@ and the snapshot key is the Prometheus-style ``name{k="v",...}`` form
 sites are unchanged -- ``counter("x")`` is the same series it always
 was -- and ``snapshot()`` ordering stays stable (plain string sort over
 the full keys).  The conventional label keys are ``kernel``, ``engine``,
-``thread``, ``impl``, ``site``, ``phase``, ``kind``, and (for merged
-sweep-worker snapshots) ``item``.
+``thread``, ``impl``, ``site``, ``phase`` and ``kind``.
 
 Tests and profilers that need isolation swap the global registry with
 :func:`scoped` instead of resetting shared state they don't own.
@@ -219,40 +218,6 @@ class Histogram:
             },
         }
 
-    def merge(self, snap: Mapping[str, Any]) -> None:
-        """Fold another histogram's :meth:`snapshot` into this one.
-
-        Used to merge sweep-worker registries back into the parent; the
-        snapshot must have the same bucket layout.
-        """
-        buckets = snap["buckets"]
-        if len(buckets) != len(self.bucket_counts):
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge snapshot with "
-                f"{len(buckets)} buckets into {len(self.bucket_counts)}"
-            )
-        for i, c in enumerate(buckets.values()):
-            self.bucket_counts[i] += c
-        self.count += snap["count"]
-        self.total += snap["sum"]
-        if snap["min"] is not None:
-            self.min = snap["min"] if self.min is None else min(
-                self.min, snap["min"]
-            )
-        if snap["max"] is not None:
-            self.max = snap["max"] if self.max is None else max(
-                self.max, snap["max"]
-            )
-
-
-def _parse_bound(text: str) -> float:
-    """A bucket key back to its numeric bound, preserving int-ness so
-    re-snapshotting produces the exact same key strings."""
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
 
 class MetricsRegistry:
     """Process-wide named metrics with get-or-create accessors."""
@@ -312,35 +277,6 @@ class MetricsRegistry:
                 for key, h in sorted(self._histograms.items())
             },
         }
-
-    def merge_snapshot(
-        self,
-        snap: Mapping[str, Any],
-        labels: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        """Fold a :meth:`snapshot` document into this registry.
-
-        Counters add, gauges last-write-win, histograms merge bucket by
-        bucket.  ``labels``, when given, are appended to every merged
-        series (existing snapshot labels are kept) -- this is how sweep
-        workers' registries come home labeled by item, see
-        :func:`repro.harness.sweep.sweep_map`.
-        """
-        extra = dict(labels) if labels else {}
-        for key, value in snap.get("counters", {}).items():
-            name, pairs = parse_key(key)
-            self.counter(name, **{**dict(pairs), **extra}).inc(value)
-        for key, value in snap.get("gauges", {}).items():
-            name, pairs = parse_key(key)
-            self.gauge(name, **{**dict(pairs), **extra}).set(value)
-        for key, hsnap in snap.get("histograms", {}).items():
-            name, pairs = parse_key(key)
-            bounds = tuple(
-                _parse_bound(b) for b in hsnap["buckets"] if b != "+inf"
-            )
-            self.histogram(
-                name, bounds, **{**dict(pairs), **extra}
-            ).merge(hsnap)
 
     def reset(self) -> None:
         """Drop every metric (names included, so types can change)."""

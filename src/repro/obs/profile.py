@@ -48,7 +48,6 @@ def profile_programs(
     sim: bool = True,
     policy: str = "greedy",
     engine: Optional[str] = None,
-    jobs: int = 1,
 ) -> ProfileReport:
     """Profile one PU's allocation (and optionally its simulation).
 
@@ -58,8 +57,6 @@ def profile_programs(
         packets: packets per thread for the simulated run.
         sim: also run the allocated programs on the simulator.
         policy: inter-thread reduction policy.
-        jobs: worker processes for analysis cache misses (see
-            :func:`repro.core.pipeline.allocate_programs`).
         engine: execution engine for the simulated run (see
             :mod:`repro.sim.engine`).  The profiled run carries the
             paranoid safety checker and records its timeline into the
@@ -72,9 +69,7 @@ def profile_programs(
 
     start = time.perf_counter()
     with metrics.scoped() as reg, events.capture() as em:
-        outcome = allocate_programs(
-            programs, nreg=nreg, policy=policy, jobs=jobs
-        )
+        outcome = allocate_programs(programs, nreg=nreg, policy=policy)
         if sim:
             run_threads(
                 outcome.programs,

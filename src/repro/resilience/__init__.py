@@ -4,7 +4,7 @@ Four pillars (see ``docs/ROBUSTNESS.md``):
 
 * :mod:`repro.resilience.faults` -- deterministic, seedable,
   context-manager-scoped fault injection behind hook points threaded
-  through the cache, sweep, pipeline, and both simulator engines;
+  through the cache, pipeline, both simulator engines and the service;
 * :mod:`repro.resilience.deadline` -- cooperative wall-clock budgets
   for the allocator pipeline (the simulators use cycle watchdogs);
 * :mod:`repro.resilience.guard` -- the unified degradation ladder and

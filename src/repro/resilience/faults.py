@@ -31,9 +31,6 @@ site                   where / what
 ``cache.disk``         :meth:`repro.core.cache.AnalysisCache._disk_load`;
                        modes ``corrupt`` / ``truncate`` damage the on-disk
                        entry before it is read
-``sweep.pool``         :func:`repro.harness.sweep.sweep_map` result
-                       harvesting; mode ``crash`` breaks the pool, mode
-                       ``hang`` simulates a worker that never returns
 ``pipeline.analyze``   :func:`repro.core.pipeline.allocate_programs`
                        analyze phase; mode ``transient`` raises
                        :class:`~repro.errors.TransientError`

@@ -1,14 +1,14 @@
 """The unified degradation ladder and bounded retry policy.
 
-Before this module every fallback in the tree was ad hoc: the sweep
-warned and reran serially, the disk cache silently swallowed errors,
-the spill fallback quietly retried.  The ladder unifies them under one
-documented policy object: every rung names its trigger and its
-degraded mode, every *use* of a rung flows through
-:func:`record_degradation`, which appends a typed :class:`Degradation`
-record to a process-global log and emits a ``resilience.degrade``
-telemetry event -- so a test (or the chaos harness) can assert that a
-masked fault really was masked *by policy* and not by accident.
+Before this module every fallback in the tree was ad hoc: the disk
+cache silently swallowed errors, the spill fallback quietly retried.
+The ladder unifies them under one documented policy object: every
+rung names its trigger and its degraded mode, every *use* of a rung
+flows through :func:`record_degradation`, which appends a typed
+:class:`Degradation` record to a process-global log and emits a
+``resilience.degrade`` telemetry event -- so a test (or the chaos
+harness) can assert that a masked fault really was masked *by policy*
+and not by accident.
 
 The ladder (top rung first -- each row falls back toward the slow,
 simple, always-correct configuration):
@@ -18,8 +18,6 @@ rung                                    degraded mode
 ======================================  =================================
 ``analysis.dense_to_reference``         re-analyze with the set-based
                                         reference kernels
-``sweep.parallel_to_serial``            finish the sweep's missing
-                                        points serially in-process
 ``cache.disk_to_memory``                disable the on-disk cache layer,
                                         keep the in-memory LRU
 ``alloc.greedy_to_spill``               pre-spill the hungriest thread
@@ -82,13 +80,6 @@ LADDER: Tuple[Rung, ...] = (
         trigger="the dense bitset analysis kernels raise on a program",
         action="re-analyze that program with the set-based reference "
         "implementation (bit-identical results by construction)",
-    ),
-    Rung(
-        name="sweep.parallel_to_serial",
-        trigger="the sweep's process pool cannot be built, breaks "
-        "mid-flight, or times out",
-        action="run the sweep points that have no result yet serially "
-        "in-process, preserving order",
     ),
     Rung(
         name="cache.disk_to_memory",

@@ -93,6 +93,8 @@ def test_library_errors_exit_2_without_traceback(kernel_file, capsys):
         ["chaos", "--engine", "fast"],
         ["compile", "kernel.npc"],
         ["encode", "kernel.npir"],
+        ["profile", "--jobs", "2", "bench:crc"],
+        ["bench", "table1", "--jobs", "2"],
     ],
     ids=[
         "fabric-command",
@@ -103,6 +105,8 @@ def test_library_errors_exit_2_without_traceback(kernel_file, capsys):
         "chaos-engine-flag",
         "compile-command",
         "encode-command",
+        "profile-jobs-flag",
+        "bench-jobs-flag",
     ],
 )
 def test_removed_fabric_surface_is_a_usage_error(argv, tmp_path, capsys):

@@ -180,33 +180,6 @@ def test_telemetry_counters():
     assert snap["counters"]["cache.hit"] == 1
 
 
-def test_warm_many_serial_and_dedup():
-    cache = AnalysisCache()
-    programs = [prog(MINI_KERNEL, "a"), prog(MINI_KERNEL, "a"),
-                prog(FIG3_T1, "b")]
-    pairs = cache.warm_many(programs)
-    assert len(pairs) == 3
-    assert pairs[0][0] is pairs[1][0]  # duplicates share the entry
-    assert cache.stats.misses == 2
-
-
-def test_warm_many_parallel_matches_serial():
-    serial = AnalysisCache()
-    parallel = AnalysisCache()
-    programs = [prog(MINI_KERNEL, "a"), prog(FIG3_T1, "b"),
-                prog(FIG3_T2, "c")]
-    want = serial.warm_many(programs)
-    got = parallel.warm_many(programs, jobs=2)
-    assert parallel.stats.misses == 3
-    for (an_w, b_w), (an_g, b_g) in zip(want, got):
-        assert an_w.slots == an_g.slots
-        assert an_w.conflicts_at == an_g.conflicts_at
-        assert b_w == b_g
-    # Subsequent lookups are pure hits.
-    parallel.analyze(prog(FIG3_T1, "b"))
-    assert parallel.stats.misses == 3
-
-
 def test_scoped_restores_global():
     before = get_cache()
     with scoped() as inner:

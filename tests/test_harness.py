@@ -10,6 +10,7 @@ from repro.harness.table3 import (
     SCENARIOS,
     render_table3,
     run_scenario,
+    run_table3,
 )
 
 LIGHT = ["frag", "drr"]
@@ -21,6 +22,16 @@ def test_text_table_alignment():
     assert len(lines) == 4
     assert lines[0].startswith("name")
     assert set(lines[1]) <= {"-", " "}
+
+
+@pytest.mark.parametrize(
+    "run",
+    [run_table1, run_table2, run_table3, run_fig14],
+    ids=["table1", "table2", "table3", "fig14"],
+)
+def test_harness_rejects_jobs_above_one(run):
+    with pytest.raises(ValueError, match="jobs must be 1"):
+        run(jobs=2)
 
 
 def test_table1_rows():

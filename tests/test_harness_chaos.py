@@ -100,7 +100,7 @@ def test_result_classification_rules():
 def test_chaos_leaves_no_armed_plan_or_degradations_visible():
     from repro.resilience import faults
 
-    run_scenario(_scenario("sweep-pool-crash"), "crc")
+    run_scenario(_scenario("cache-corrupt"), "crc")
     assert faults.active() is None
 
 

@@ -1,6 +1,7 @@
 """Tests for the regression sentinel (repro.harness.trend, bench trend)."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -26,9 +27,11 @@ def test_watched_from_bench_shapes():
     assert trend.watched_from_bench(
         "perf", {"rows": [], "summary": {"speedup": 5.8, "fast_ips": 2e6}}
     ) == {"sim.speedup": 5.8, "sim.fast_ips": 2e6}
+    # ``parallel_speedup`` is a removed metric: a stale payload that
+    # still carries it keeps its live metrics watched.
     assert trend.watched_from_bench(
         "alloc", {"warm_speedup": 6.7, "parallel_speedup": 2.5}
-    ) == {"alloc.warm_speedup": 6.7, "alloc.parallel_speedup": 2.5}
+    ) == {"alloc.warm_speedup": 6.7}
     assert trend.watched_from_bench(
         "analysis", {"analysis_speedup": 15.4}
     ) == {"analysis.speedup": 15.4}
@@ -60,6 +63,31 @@ def test_watched_from_bench_tolerates_unknown_and_malformed():
 
 def test_every_watched_metric_has_a_direction():
     assert set(trend.WATCHED.values()) <= {"higher", "lower"}
+
+
+def test_committed_snapshots_yield_every_watched_metric():
+    # A payload key the extractor still reads but the bench no longer
+    # writes would void the whole bench's extraction: its metrics would
+    # drop out of the gate and the ledger without a word.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    owner = {"sim": "perf"}  # every other metric is named after its bench
+    checked = set()
+    for path in sorted((root / "benchmarks" / "out").glob("BENCH_*.json")):
+        doc = json.loads(path.read_text())
+        family = doc["bench"].split("_")[0]
+        owned = set()
+        for metric in trend.WATCHED:
+            prefix = metric.split(".")[0]
+            if owner.get(prefix, prefix) == family:
+                owned.add(metric)
+        if not owned:
+            continue  # the ablations are explored, not gated
+        got = trend.watched_from_bench(doc["bench"], doc["data"])
+        assert set(got) == owned, path.name
+        checked.add(family)
+    assert checked == {
+        "perf", "alloc", "analysis", "table1", "table2", "table3", "fig14",
+    }
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +169,7 @@ def test_committed_snapshots_feed_the_baseline(tmp_path):
     (tmp_path / "BENCH_alloc.json").write_text(json.dumps({
         "schema": "repro.bench/1",
         "bench": "alloc",
-        "data": {"warm_speedup": 6.7, "parallel_speedup": 2.5},
+        "data": {"warm_speedup": 6.7},
     }))
     path = _ledger_with(
         tmp_path, [6.6, 3.0], metric="alloc.warm_speedup", bench="alloc"

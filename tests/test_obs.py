@@ -144,29 +144,6 @@ def test_label_key_format_parse_round_trip():
         metrics.parse_key("bad{unterminated")
 
 
-def test_merge_snapshot_adds_labels_and_folds_values():
-    donor = metrics.MetricsRegistry()
-    donor.counter("cache.hit", kernel="crc").inc(3)
-    donor.gauge("sim.util").set(0.5)
-    donor.histogram("inter.step_delta").observe(7)
-    snap = donor.snapshot()
-
-    target = metrics.MetricsRegistry()
-    target.counter("cache.hit", kernel="crc", item=0).inc(1)
-    target.merge_snapshot(snap, labels={"item": 0})
-    target.merge_snapshot(snap, labels={"item": 1})
-    out = target.snapshot()
-    assert out["counters"]['cache.hit{item="0",kernel="crc"}'] == 4
-    assert out["counters"]['cache.hit{item="1",kernel="crc"}'] == 3
-    assert out["gauges"]['sim.util{item="0"}'] == 0.5
-    hist = out["histograms"]['inter.step_delta{item="1"}']
-    assert hist["count"] == 1 and hist["max"] == 7
-    # Merged histograms keep the donor's exact bucket keys.
-    assert list(hist["buckets"]) == [
-        str(b) for b in metrics.DEFAULT_BUCKETS
-    ] + ["+inf"]
-
-
 def test_timing_buckets_resolve_sub_second_observations():
     """DEFAULT_BUCKETS collapses all sub-second timings into one bucket;
     TIMING_BUCKETS must spread them out."""

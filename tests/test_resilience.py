@@ -150,7 +150,6 @@ def test_ladder_documents_every_rung():
     names = {r.name for r in guard.LADDER}
     assert names == {
         "analysis.dense_to_reference",
-        "sweep.parallel_to_serial",
         "cache.disk_to_memory",
         "alloc.greedy_to_spill",
         "service.store_to_memory",
