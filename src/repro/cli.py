@@ -384,11 +384,17 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from repro.harness.trend import diverged
+
     if args.experiment == "trend":
         return _cmd_bench_trend(args)
     _apply_cache_dir(args)
     text, data = _run_bench_experiment(args)
     print(text)
+    bad = diverged(args.experiment, data)
+    if bad:
+        print(f"diverged: {', '.join(bad)} false; no row", file=sys.stderr)
+        return 1
     _append_bench_ledger(args, data)
     return 0
 
@@ -626,10 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
             "trend",
         ],
         help="experiment to run; 'alloc' measures the allocation "
-        "pipeline cold/warm/parallel AND the shared-descent budget "
-        "sweep (one Figure-8 descent per kernel answering every "
-        "register budget, vs one fresh allocation per budget -- see "
-        "docs/PERFORMANCE.md, 'Shared-descent budget sweeps')",
+        "pipeline cold/warm AND the shared-descent budget sweep (one "
+        "Figure-8 descent per kernel answering every register budget, "
+        "see docs/PERFORMANCE.md, 'Shared-descent budget sweeps')",
     )
     _add_obs_flags(p)
     _add_perf_flags(p)

@@ -20,19 +20,18 @@ This module memoizes both behind :meth:`Program.fingerprint`:
   active, plus always-on plain counters in :class:`CacheStats` for
   benchmarks and tests.
 
-Failure policy (``docs/ROBUSTNESS.md``): a corrupt or unreadable disk
-entry is quarantined to ``*.bad`` (so later runs miss cheaply instead
-of re-paying the failed decode) and treated as a miss; repeated disk
-failures take the ``cache.disk_to_memory`` degradation rung, disabling
-the disk layer for this cache while the in-memory LRU keeps working.
-The ``cache.disk`` fault-injection site and the dense-analysis
-fallback rung are exercised by ``repro chaos``.
+The LRUs and the disk discipline are :mod:`repro.store`'s: an entry
+that does not decode to an analysis is quarantined and is a miss.
+Repeated disk failures take the ``cache.disk_to_memory`` degradation
+rung (``docs/ROBUSTNESS.md``), disabling the disk layer for this cache
+while the in-memory LRU keeps working.  ``repro chaos`` exercises the
+``cache.disk`` fault site and the dense-analysis fallback rung.
 
-The service's worker threads share the global cache.  One lock guards
-its bookkeeping -- look-up and touch, insert and evict, and the
-:class:`CacheStats` counters -- and is never held across an analysis
-or disk I/O, so two threads missing on one program may both analyse
-it; the second insert replaces the first with an equal entry.
+The service's worker threads share the global cache.  Its own lock
+guards only :class:`CacheStats` and is never taken while an LRU's lock
+is held; no lock is held across an analysis, pickling or disk I/O, so
+two threads missing on one program may both analyse it; the second
+insert replaces the first with an equal entry.
 
 Cached values are shared objects: callers must treat a returned
 :class:`ThreadAnalysis` (and the ``coloring`` inside its
@@ -48,13 +47,12 @@ from __future__ import annotations
 import os
 import pathlib
 import pickle
-import tempfile
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
 
+from repro import store
 from repro.core.analysis import (
     ThreadAnalysis,
     analyze_thread,
@@ -79,12 +77,6 @@ DEFAULT_DESCENT_CAPACITY = 16
 #: Consecutive disk-layer failures tolerated before the cache takes the
 #: ``cache.disk_to_memory`` degradation rung and disables its disk dir.
 DEFAULT_MAX_DISK_ERRORS = 4
-
-#: Quarantined (``*.bad``) entries retained per cache directory.  A
-#: flaky disk on a long-running server would otherwise grow the
-#: quarantine without bound; beyond the cap the oldest entries are
-#: unlinked (``cache.quarantine_trimmed`` event).
-DEFAULT_MAX_QUARANTINE = 32
 
 
 @dataclass
@@ -146,32 +138,20 @@ class AnalysisCache:
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         max_disk_errors: int = DEFAULT_MAX_DISK_ERRORS,
         descent_capacity: int = DEFAULT_DESCENT_CAPACITY,
-        max_quarantine: int = DEFAULT_MAX_QUARANTINE,
     ):
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        if descent_capacity < 1:
-            raise ValueError(
-                f"descent capacity must be >= 1, got {descent_capacity}"
-            )
-        self.capacity = capacity
-        self.descent_capacity = descent_capacity
-        if cache_dir is None:
-            cache_dir = os.environ.get(ENV_CACHE_DIR) or None
-        self.cache_dir = pathlib.Path(cache_dir) if cache_dir else None
-        self.max_disk_errors = max_disk_errors
-        self.max_quarantine = max_quarantine
-        self.stats = CacheStats()
-        self._lock = threading.Lock()
-        self._disk_error_streak = 0
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries = store.LRU(capacity)
         # Descent trajectories are memory-only: a SharedDescent holds
         # live AllocContext graphs whose pickled form would dwarf the
         # analysis entries, and rebuilding one is itself served by the
         # (possibly disk-backed) analysis entries above.
-        self._descents: "OrderedDict[Tuple[Tuple[str, ...], str], Any]" = (
-            OrderedDict()
-        )
+        self._descents = store.LRU(descent_capacity)
+        if cache_dir is None:
+            cache_dir = os.environ.get(ENV_CACHE_DIR) or None
+        self.cache_dir = pathlib.Path(cache_dir) if cache_dir else None
+        self.max_disk_errors = max_disk_errors
+        self.stats = CacheStats()
+        self._lock = threading.Lock()
+        self._disk_error_streak = 0
 
     # ------------------------------------------------------------------
     # Public API.
@@ -211,39 +191,30 @@ class AnalysisCache:
 
         fps = tuple(p.fingerprint() for p in programs)
         key = (fps, policy)
-        with self._lock:
-            descent = self._descents.get(key)
-            if descent is not None:
-                self._descents.move_to_end(key)
-                self.stats.descent_hits += 1
-            else:
-                self.stats.descent_misses += 1
+        descent = self._descents.get(key)
         if descent is not None:
+            with self._lock:
+                self.stats.descent_hits += 1
             self._note("cache.descent_hit", fps[0] if fps else "")
             return descent
+        with self._lock:
+            self.stats.descent_misses += 1
         self._note("cache.descent_miss", fps[0] if fps else "")
         analyses = [self.analyze(p) for p in programs]
         bounds = [self.bounds(p) for p in programs]
         descent = SharedDescent(analyses, policy=policy, bounds=bounds)
-        with self._lock:
-            self._descents[key] = descent
-            self._descents.move_to_end(key)
-            while len(self._descents) > self.descent_capacity:
-                self._descents.popitem(last=False)
-                self.stats.evictions += 1
+        self._put(self._descents, key, descent)
         return descent
 
     def clear(self) -> None:
         """Drop every in-memory entry (the disk layer is left alone)."""
-        with self._lock:
-            self._entries.clear()
-            self._descents.clear()
+        self._entries.clear()
+        self._descents.clear()
 
     def clear_descents(self) -> None:
         """Drop only the descent trajectories (benchmarks use this to
         time a cold descent against warm analyses)."""
-        with self._lock:
-            self._descents.clear()
+        self._descents.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -267,12 +238,10 @@ class AnalysisCache:
                 reg.counter(event, kernel=kernel).inc()
 
     def _entry(self, fp: str, program: Program) -> _Entry:
-        with self._lock:
-            entry = self._entries.get(fp)
-            if entry is not None:
-                self._entries.move_to_end(fp)
-                self.stats.hits += 1
+        entry = self._entries.get(fp)
         if entry is not None:
+            with self._lock:
+                self.stats.hits += 1
             self._note("cache.hit", fp, program.name)
             return entry
         entry = self._disk_load(fp)
@@ -281,30 +250,25 @@ class AnalysisCache:
                 self.stats.hits += 1
                 self.stats.disk_hits += 1
             self._note("cache.hit", fp, program.name)
-            self._insert(fp, entry)
+            self._put(self._entries, fp, entry)
             return entry
         with self._lock:
             self.stats.misses += 1
         self._note("cache.miss", fp, program.name)
         entry = _Entry(_analyze_resilient(program), None)
-        self._insert(fp, entry)
+        self._put(self._entries, fp, entry)
         self._disk_store(fp, entry)
         return entry
 
-    def _insert(self, fp: str, entry: _Entry) -> None:
-        with self._lock:
-            self._entries[fp] = entry
-            self._entries.move_to_end(fp)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+    def _put(self, lru: store.LRU, key: Any, value: Any) -> None:
+        evicted = lru.put(key, value)
+        if evicted:
+            with self._lock:
+                self.stats.evictions += evicted
 
     # ------------------------------------------------------------------
     # On-disk layer.
     # ------------------------------------------------------------------
-    def _disk_path(self, fp: str) -> Optional[pathlib.Path]:
-        return self.cache_dir / f"{fp}.pkl" if self.cache_dir else None
-
     def _disk_fail(self, fp: str, exc: BaseException, action: str) -> None:
         """Count a disk-layer failure; degrade to memory-only if they
         keep coming (the ``cache.disk_to_memory`` rung)."""
@@ -332,140 +296,44 @@ class AnalysisCache:
             )
             self.cache_dir = None
 
-    def _quarantine(self, path: pathlib.Path) -> str:
-        """Move a corrupt entry aside (``*.bad``) so later runs miss
-        cheaply instead of re-paying the failed unpickle; returns the
-        action taken for the ``cache.disk_error`` event.  The retained
-        quarantine is capped (oldest-first trim, see
-        :func:`trim_quarantine`) so a flaky disk cannot grow it without
-        bound on a long-running server."""
-        try:
-            os.replace(path, path.with_suffix(".bad"))
-        except OSError:
-            try:
-                path.unlink()
-                return "deleted"
-            except OSError:
-                return "left-in-place"
-        trim_quarantine(path.parent, self.max_quarantine)
-        return "quarantined"
-
     def _disk_load(self, fp: str) -> Optional[_Entry]:
-        path = self._disk_path(fp)
+        path = store.entry_path(self.cache_dir, fp, ".pkl")
         if path is None:
             return None
         spec = faults.fire("cache.disk", fingerprint=fp[:12])
         if spec is not None:
-            _damage_entry(path, spec.mode)
+            store.damage(path, spec.mode)
         try:
-            with path.open("rb") as fh:
-                analysis, bounds = pickle.load(fh)
-            if not isinstance(analysis, ThreadAnalysis):
-                raise TypeError(f"unexpected payload in {path}")
-        except FileNotFoundError:
+            pair = store.read(path, _decode)
+        except store.Rejected as exc:
+            self._disk_fail(fp, exc.cause, exc.action)
             return None
-        except Exception as exc:
-            # A corrupt / foreign / version-skewed file is a miss -- but
-            # never a silent one: the entry is quarantined so the next
-            # run does not re-pay the failed decode, and the failure is
-            # tagged for telemetry and the degradation ladder.
-            self._disk_fail(fp, exc, self._quarantine(path))
+        except OSError as exc:
+            self._disk_fail(fp, exc, "left-in-place")
+            return None
+        if pair is None:
             return None
         self._disk_error_streak = 0
-        return _Entry(analysis, bounds)
+        return _Entry(*pair)
 
     def _disk_store(self, fp: str, entry: _Entry) -> None:
-        path = self._disk_path(fp)
+        path = store.entry_path(self.cache_dir, fp, ".pkl")
         if path is None:
             return
+        pair = (entry.analysis, entry.bounds)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(path.parent), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(
-                        (entry.analysis, entry.bounds),
-                        fh,
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    )
-                os.replace(tmp, path)  # atomic: readers never see partials
-            except BaseException:
-                os.unlink(tmp)
-                raise
+            store.write(path, pickle.dumps(pair, pickle.HIGHEST_PROTOCOL))
         except OSError as exc:
             self._disk_fail(fp, exc, "store-failed")
         else:
             self._disk_error_streak = 0
 
 
-def trim_quarantine(
-    directory: pathlib.Path, cap: int = DEFAULT_MAX_QUARANTINE
-) -> int:
-    """Keep at most ``cap`` quarantined ``*.bad`` entries in ``directory``.
-
-    Oldest entries (by mtime, fingerprint name breaking ties so the
-    order is deterministic on coarse-clock filesystems) are unlinked
-    first; already-gone files are skipped silently (another process may
-    trim concurrently).  Returns the number of entries removed and, when
-    anything was trimmed, emits a ``cache.quarantine_trimmed`` event and
-    counter.  Shared by the analysis cache and the service's
-    content-addressed result store.
-    """
-    if cap < 0:
-        raise ValueError(f"quarantine cap must be >= 0, got {cap}")
-    try:
-        bad = list(pathlib.Path(directory).glob("*.bad"))
-    except OSError:
-        return 0
-    if len(bad) <= cap:
-        return 0
-
-    def _age_key(path: pathlib.Path) -> Tuple[float, str]:
-        try:
-            return (path.stat().st_mtime, path.name)
-        except OSError:
-            return (0.0, path.name)
-
-    bad.sort(key=_age_key)
-    trimmed = 0
-    for victim in bad[: len(bad) - cap]:
-        try:
-            victim.unlink()
-            trimmed += 1
-        except OSError:
-            pass
-    if trimmed:
-        em = obs.get_emitter()
-        if em.enabled:
-            em.emit(
-                "cache.quarantine_trimmed",
-                directory=str(directory),
-                trimmed=trimmed,
-                cap=cap,
-            )
-            obs_metrics.registry().counter("cache.quarantine_trimmed").inc(
-                trimmed
-            )
-    return trimmed
-
-
-def _damage_entry(path: pathlib.Path, mode: str) -> None:
-    """Fault-injection helper: damage an on-disk entry in place.
-
-    ``truncate`` keeps the first half of the bytes (a partial write);
-    anything else overwrites the entry with deterministic garbage.  A
-    missing entry is left missing -- that is already a plain miss.
-    """
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return
-    if mode == "truncate":
-        path.write_bytes(data[: len(data) // 2])
-    else:
-        path.write_bytes(b"\x00repro-injected-corruption\x00" + data[:32][::-1])
+def _decode(data: bytes) -> Tuple[ThreadAnalysis, Optional[Bounds]]:
+    analysis, bounds = pickle.loads(data)
+    if not isinstance(analysis, ThreadAnalysis):
+        raise TypeError(f"unexpected payload {type(analysis).__name__}")
+    return analysis, bounds
 
 
 _cache = AnalysisCache()

@@ -33,12 +33,12 @@ pass on the warm trajectory.  Both sides run on the warm analysis
 cache, so ``descent_speedup`` isolates the descent itself
 (docs/PERFORMANCE.md, "Shared-descent budget sweeps").
 
-Every pass records the full allocation summary of every point (PR/SR
-vectors, move costs, SGR, totals, and the fingerprints of the rewritten
-programs); the report's ``identical`` flag is the byte-for-byte JSON
-equality of the four summary lists (two runs of each pass),
-``descent_identical`` the same equality between the descent section's
-passes and the cold points, and any mismatch invalidates the speedups.
+Every pass is timed as the best of two runs, and every run records the
+full allocation summary of every point (PR/SR vectors, move costs, SGR,
+totals, and the fingerprints of the rewritten programs); ``identical``
+is the byte-for-byte JSON equality of the cold and warm runs,
+``descent_identical`` that of the descent section's six runs with the
+cold points, and any mismatch invalidates the speedups.
 ``repro bench alloc`` or ``pytest benchmarks/bench_alloc.py
 --benchmark-only -s`` regenerates ``benchmarks/out/BENCH_alloc.json``.
 """
@@ -261,65 +261,55 @@ def run_alloc_bench(
 ) -> AllocBenchReport:
     """Measure the passes over the grid (see the module docstring)."""
     names = list(names or BENCHMARKS)
+
+    def best_of_two(run, *args, reset=lambda: None):
+        # Both runs' summaries and the faster run's seconds: host noise
+        # easily swings a sub-second pass by 20%, enough to flip a gate.
+        runs, best = [], float("inf")
+        for _ in range(2):
+            reset()
+            start = time.perf_counter()
+            runs.append(run(*args))
+            best = min(best, time.perf_counter() - start)
+        return runs, best
+
     with scoped(AnalysisCache(capacity=256)) as cache:
         grid = build_grid(names, nthd=nthd)
 
-        # Best of two runs for every timed pass: scheduler noise on a
-        # loaded single-core host easily swings a sub-second pass by
-        # 20%, which is enough to flip a speedup gate that the
-        # identical-summaries check says nothing is actually wrong
-        # with.  The cold pass clears the cache before each run
-        # (building the grid probed bounds; the cold pass must not see
-        # that); the stats snapshot reflects the final cold run plus
-        # the warm runs over it.
-        cold_runs: List[List[Dict[str, Any]]] = []
-        cold_s = float("inf")
-        for _ in range(2):
+        def cold_cache() -> None:
+            # Building the grid probed bounds; the cold pass must not
+            # see that.  The stats cover the last cold run onwards.
             cache.clear()
             cache.stats = CacheStats()
-            start = time.perf_counter()
-            cold_runs.append([_alloc_summary(p) for p in grid])
-            cold_s = min(cold_s, time.perf_counter() - start)
-        cold = cold_runs[-1]
 
-        warm_runs: List[List[Dict[str, Any]]] = []
-        warm_s = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            warm_runs.append([_alloc_summary(p) for p in grid])
-            warm_s = min(warm_s, time.perf_counter() - start)
+        def sweep() -> List[Dict[str, Any]]:
+            return [_alloc_summary(p) for p in grid]
 
+        def ladders(grid_fn) -> List[Dict[str, Any]]:
+            return [s for n in names for s in grid_fn(n, nthd)]
+
+        cold_runs, cold_s = best_of_two(sweep, reset=cold_cache)
+        warm_runs, warm_s = best_of_two(sweep)
         # Descent section: the per-kernel multi-budget query workload,
         # old way vs one shared descent per kernel.  Both sides run on
-        # the warm analysis cache, isolating the descent win; the
-        # trajectories themselves start cold and are replayed warm.
-        cache.clear_descents()
-        start = time.perf_counter()
-        per_budget = [_grid_per_budget(n, nthd) for n in names]
-        per_budget_s = time.perf_counter() - start
-
-        cache.clear_descents()
-        start = time.perf_counter()
-        descended = [_grid_descent(n, nthd) for n in names]
-        descent_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        replayed = [_grid_descent(n, nthd) for n in names]
-        descent_replay_s = time.perf_counter() - start
-
+        # the warm analysis cache, isolating the descent win; each
+        # descent run starts from cold trajectories, and the replay
+        # runs read the warm ones the last descent run left.
+        per_budget, per_budget_s = best_of_two(ladders, _grid_per_budget)
+        descended, descent_s = best_of_two(
+            ladders, _grid_descent, reset=cache.clear_descents
+        )
+        replayed, descent_replay_s = best_of_two(ladders, _grid_descent)
         stats = cache.stats.to_dict()
 
-    as_json = [
-        json.dumps(s, sort_keys=True)
-        for s in (*cold_runs, *warm_runs)
-    ]
-    identical = all(j == as_json[0] for j in as_json[1:])
+    cold = cold_runs[-1]
     cold_json = json.dumps(cold, sort_keys=True)
-    descent_identical = all(
-        json.dumps([s for kernel in section for s in kernel], sort_keys=True)
-        == cold_json
-        for section in (per_budget, descended, replayed)
-    )
+
+    def agree(runs: List[List[Dict[str, Any]]]) -> bool:
+        return all(json.dumps(r, sort_keys=True) == cold_json for r in runs)
+
+    identical = agree(cold_runs + warm_runs)
+    descent_identical = agree(per_budget + descended + replayed)
     return AllocBenchReport(
         points=cold,
         cold_s=cold_s,

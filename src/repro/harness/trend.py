@@ -50,6 +50,23 @@ WATCHED: Dict[str, str] = {
 }
 
 
+#: Each bench's identity flags: a false one means the two computations
+#: the bench timed disagreed, so the ratio it vouches for is no speedup.
+IDENTITY_FLAGS: Dict[str, Tuple[str, ...]] = {
+    "perf": ("stats_match",), "analysis": ("digests_identical",),
+    "alloc": ("identical", "descent_identical"),
+}
+
+
+def diverged(bench: str, data: Any) -> List[str]:
+    """The identity flags ``data`` carries as false (``perf`` keeps its
+    flag in ``summary``); ``repro bench`` fails such a run."""
+    if bench == "perf" and isinstance(data, dict):
+        data = data.get("summary")
+    flags = IDENTITY_FLAGS.get(bench, ()) if isinstance(data, dict) else ()
+    return [f for f in flags if data.get(f) is False]
+
+
 def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
     """Extract the watched scalar metrics from one bench's ``data``.
 
@@ -57,28 +74,31 @@ def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
     ``table1``, ``table2``, ``table3`` or ``table3_<pair>``, ``fig14``);
     ``data`` the same payload that goes into ``BENCH_<name>.json``.
     Unknown benches (the ablations) yield ``{}`` -- they are explored,
-    not gated.
+    not gated; a ratio whose identity flag is false is left out.
     """
     out: Dict[str, float] = {}
+    bad = diverged(bench, data)
     try:
         if bench == "perf":
             summary = data["summary"]
-            out["sim.speedup"] = float(summary["speedup"])
+            if not bad:
+                out["sim.speedup"] = float(summary["speedup"])
             out["sim.fast_ips"] = float(summary["fast_ips"])
         elif bench == "alloc":
-            out["alloc.warm_speedup"] = float(data["warm_speedup"])
+            if "identical" not in bad:
+                out["alloc.warm_speedup"] = float(data["warm_speedup"])
             # Older BENCH_alloc.json payloads predate the descent
             # section; ``.get`` keeps their warm metric watched instead
-            # of voiding the whole extraction.  A diverged descent has
-            # a meaningless speedup; report nothing rather than a
-            # number the trend gate would accept.
+            # of voiding the whole extraction.  The descent ratio needs
+            # its flag present as well as true.
             descent = data.get("descent_speedup")
             if isinstance(descent, (int, float)) and data.get(
                 "descent_identical", False
             ):
                 out["alloc.descent_speedup"] = float(descent)
         elif bench == "analysis":
-            out["analysis.speedup"] = float(data["analysis_speedup"])
+            if not bad:
+                out["analysis.speedup"] = float(data["analysis_speedup"])
         elif bench == "table1":
             out["table1.cycles_per_iter"] = float(
                 sum(row["cycles_per_iter"] for row in data)

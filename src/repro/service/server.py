@@ -382,7 +382,7 @@ class ServiceCore:
     def _store_get(self, key: str) -> Optional[Dict[str, Any]]:
         breaker = self.breakers["store"]
         if not breaker.allow():
-            return self.store.recall(key)  # memory overlay only
+            return self.store.memory.get(key)
         try:
             payload = self.store.get(key)
         except Exception as exc:
@@ -397,7 +397,7 @@ class ServiceCore:
     def _store_put(self, key: str, payload: Dict[str, Any]) -> None:
         breaker = self.breakers["store"]
         if not breaker.allow():
-            self.store.remember(key, payload)
+            self.store.memory.put(key, payload)
             return
         try:
             self.store.put(key, payload)

@@ -122,3 +122,24 @@ def test_suite_listing(capsys):
     out = capsys.readouterr().out
     assert "md5" in out and "wraps_recv" in out
 
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_bench_fails_a_diverged_run_and_records_no_row(
+    identical, tmp_path, monkeypatch, capsys
+):
+    # A speedup over two computations that disagreed is no speedup: the
+    # run exits 1 and leaves the ledger alone.
+    from repro.harness import analysisperf
+
+    report = analysisperf.AnalysisBenchReport(
+        rows=[], analysis_reference_s=1.5, analysis_dense_s=0.1,
+        repeats=1, digests_identical=identical, kernels=["crc"],
+    )
+    monkeypatch.setattr(analysisperf, "run_analysis_bench", lambda: report)
+    ledger = tmp_path / "ledger.jsonl"
+    code = main(["bench", "analysis", "--ledger", str(ledger)])
+    assert code == (0 if identical else 1)
+    assert ledger.exists() == identical
+    if not identical:
+        assert "digests_identical" in capsys.readouterr().err

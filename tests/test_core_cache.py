@@ -112,45 +112,6 @@ def test_disk_foreign_payload_is_a_miss(tmp_path):
     assert cache.stats.disk_errors == 1
 
 
-def _disk_hammer(arg):
-    """Module-level worker: concurrent reader+writer of one cache dir."""
-    tmp, rounds = arg
-    errors = 0
-    out = []
-    for _ in range(rounds):
-        cache = AnalysisCache(cache_dir=tmp)
-        for text, name in (
-            (FIG3_T1, "t1"), (FIG3_T2, "t2"), (MINI_KERNEL, "k")
-        ):
-            p = parse_program(text, name)
-            cache.analyze(p)
-            out.append((p.fingerprint(), repr(cache.bounds(p))))
-        errors += cache.stats.disk_errors
-    return out, errors
-
-
-def test_disk_layer_multiprocess_atomicity(tmp_path):
-    # The disk layer's write discipline is write-to-temp + os.replace
-    # (and quarantine is itself an os.replace), so any number of
-    # processes may race on one cache dir: a reader observes absent or
-    # complete, never torn.  Hammer the same three programs from four
-    # processes and require zero disk errors, one bounds value per
-    # fingerprint, and no temp-file or quarantine litter left behind.
-    import multiprocessing as mp
-
-    with mp.Pool(4) as pool:
-        outcomes = pool.map(_disk_hammer, [(str(tmp_path), 5)] * 4)
-    by_fp = {}
-    for out, errors in outcomes:
-        assert errors == 0
-        for fp, bounds_repr in out:
-            by_fp.setdefault(fp, set()).add(bounds_repr)
-    assert len(by_fp) == 3
-    assert all(len(values) == 1 for values in by_fp.values())
-    assert not list(tmp_path.glob("*.tmp"))
-    assert not list(tmp_path.glob("*.bad"))
-
-
 def test_env_cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     cache = AnalysisCache()
@@ -293,34 +254,12 @@ def test_pipeline_cached_matches_fresh():
     assert first.total_moves == second.total_moves
 
 
-def test_quarantine_capped_oldest_first(tmp_path):
-    """The ``*.bad`` graveyard is bounded: beyond ``max_quarantine``
-    entries the oldest are removed (satellite of the service PR -- a
-    long-running server quarantining corrupt entries must not grow the
-    directory forever)."""
-    import os
-
-    from repro.core.cache import trim_quarantine
-
-    for i in range(6):
-        bad = tmp_path / f"entry{i}.bad"
-        bad.write_bytes(b"x")
-        # Distinct mtimes so "oldest" is well defined on coarse clocks.
-        os.utime(bad, (1000 + i, 1000 + i))
-    with events.capture() as em:
-        removed = trim_quarantine(tmp_path, cap=2)
-    assert removed == 4
-    survivors = sorted(p.name for p in tmp_path.glob("*.bad"))
-    assert survivors == ["entry4.bad", "entry5.bad"]
-    trims = [e for e in em.events if e.name == "cache.quarantine_trimmed"]
-    assert trims and trims[0].fields["trimmed"] == 4
-
-
-def test_quarantine_cap_applies_on_cache_quarantine(tmp_path):
+def test_quarantine_cap_applies_on_cache_quarantine(tmp_path, monkeypatch):
     """Quarantining through the cache itself respects the cap."""
     import os
 
-    cache = AnalysisCache(cache_dir=tmp_path, max_quarantine=2)
+    monkeypatch.setattr("repro.store.DEFAULT_MAX_QUARANTINE", 2)
+    cache = AnalysisCache(cache_dir=tmp_path)
     texts = [FIG3_T1, FIG3_T2, MINI_KERNEL]
     for i, text in enumerate(texts):
         p = prog(text, f"t{i}")
@@ -328,7 +267,7 @@ def test_quarantine_cap_applies_on_cache_quarantine(tmp_path):
         path = tmp_path / f"{p.fingerprint()}.pkl"
         path.write_bytes(b"garbage")
         os.utime(path, (1000 + i, 1000 + i))
-        reader = AnalysisCache(cache_dir=tmp_path, max_quarantine=2)
+        reader = AnalysisCache(cache_dir=tmp_path)
         reader.analyze(prog(text, f"t{i}"))
         # re-corrupt trail: drop the freshly re-stored good entry so
         # only the .bad files accumulate

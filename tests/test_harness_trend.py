@@ -51,6 +51,24 @@ def test_watched_from_bench_shapes():
     ) == {"fig14.avg_saving": 4.0}
 
 
+def test_watched_from_bench_drops_diverged_ratios():
+    # A ratio over two computations that disagreed is no speedup; a
+    # payload without the flag keeps its ratio (see the test above).
+    assert trend.watched_from_bench("perf", {"summary": {
+        "speedup": 5.8, "fast_ips": 2e6, "stats_match": False,
+    }}) == {"sim.fast_ips": 2e6}
+    assert trend.watched_from_bench("alloc", {
+        "warm_speedup": 2.2, "identical": False,
+        "descent_speedup": 5.5, "descent_identical": True,
+    }) == {"alloc.descent_speedup": 5.5}
+    assert trend.watched_from_bench("analysis", {
+        "analysis_speedup": 15.4, "digests_identical": False,
+    }) == {}
+    assert trend.diverged("alloc", {
+        "identical": False, "descent_identical": False,
+    }) == ["identical", "descent_identical"]
+
+
 def test_watched_from_bench_tolerates_unknown_and_malformed():
     assert trend.watched_from_bench("ablation", {"whatever": 1}) == {}
     assert trend.watched_from_bench("perf", {"rows": []}) == {}

@@ -286,13 +286,14 @@ class TestStore:
         fresh.put(self.KEY, {"x": 2})
         assert ResultStore(tmp_path).get(self.KEY) == {"x": 2}
 
-    def test_quarantine_capped(self, tmp_path):
-        store = ResultStore(tmp_path, max_quarantine=3)
+    def test_quarantine_capped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.store.DEFAULT_MAX_QUARANTINE", 3)
+        store = ResultStore(tmp_path)
         for i in range(6):
             key = f"{i:02x}" * 32
             store.put(key, {"i": i})
             (tmp_path / f"{key}.json").write_text("broken")
-            store._memory.clear()
+            store.memory.clear()
             assert store.get(key) is None
         assert len(list(tmp_path.glob("*.bad"))) <= 3
 
@@ -333,9 +334,9 @@ class TestStore:
     def test_recall_reads_only_the_memory_overlay(self, tmp_path):
         ResultStore(tmp_path).put(self.KEY, {"x": 1})
         fresh = ResultStore(tmp_path)
-        assert fresh.recall(self.KEY) is None  # on disk, not in memory
-        fresh.remember(self.KEY, {"x": 2})
-        assert fresh.recall(self.KEY) == {"x": 2}
+        assert fresh.memory.get(self.KEY) is None  # on disk, not in memory
+        fresh.memory.put(self.KEY, {"x": 2})
+        assert fresh.memory.get(self.KEY) == {"x": 2}
 
 
 # ----------------------------------------------------------------------
