@@ -77,7 +77,7 @@ import argparse
 import contextlib
 import pathlib
 import sys
-from typing import Iterator, List, Optional, Sequence
+from typing import Any, ContextManager, Iterator, List, Optional, Sequence
 
 from repro.core.analysis import analyze_thread
 from repro.core.bounds import estimate_bounds
@@ -249,7 +249,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.export import write_json
     from repro.obs.profile import profile_programs, render_report
 
-    _apply_cache_dir(args)
     programs = _load_all(args.files)
     report = profile_programs(
         programs,
@@ -388,7 +387,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.experiment == "trend":
         return _cmd_bench_trend(args)
-    _apply_cache_dir(args)
     text, data = _run_bench_experiment(args)
     print(text)
     bad = diverged(args.experiment, data)
@@ -487,13 +485,15 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_cache_dir(args: argparse.Namespace) -> None:
-    """Point the global analysis cache at ``--cache-dir`` when given."""
+def _cache_scope(args: argparse.Namespace) -> ContextManager[Any]:
+    """Bind an analysis cache persisted in ``--cache-dir`` around the
+    command when given; otherwise the process default serves it."""
     cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir:
-        from repro.core.cache import set_cache_dir
+    if not cache_dir:
+        return contextlib.nullcontext()
+    from repro.core.cache import AnalysisCache, scoped
 
-        set_cache_dir(cache_dir)
+    return scoped(AnalysisCache(cache_dir=cache_dir))
 
 
 def _add_perf_flags(p: argparse.ArgumentParser) -> None:
@@ -765,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _telemetry(args):
+        with _telemetry(args), _cache_scope(args):
             return args.func(args)
     except BrokenPipeError:  # e.g. piped into `head`
         return 0

@@ -5,9 +5,9 @@ The register file of ``Nreg`` physical registers is laid out as::
     [ thread0 private | thread1 private | ... | globally shared | unused ]
 
 Thread ``i``'s private colors ``0 .. PR_i - 1`` map into its private
-window; shared colors ``PR_i .. PR_i + SR_i - 1`` map into the single
-global shared window of ``SGR = max_i SR_i`` registers, *identically for
-every thread* -- that is exactly what makes them shared.  The safety
+window; shared colors ``PR_i .. PR_i + SR_i - 1`` map into the one
+globally shared window of ``SGR = max_i SR_i`` registers, *identically
+for every thread* -- that is exactly what makes them shared.  The safety
 obligation (values in the shared window are dead at every CSB of their
 thread) is guaranteed by the allocator and re-checked dynamically by the
 simulator's paranoid mode.

@@ -11,7 +11,8 @@ largest share of allocation wall time (see ``docs/PERFORMANCE.md``).
 This module memoizes both behind :meth:`Program.fingerprint`:
 
 * an in-process LRU (:class:`AnalysisCache`) shared by the whole
-  pipeline through :func:`get_cache`;
+  pipeline through :func:`get_cache`, the current context's cache
+  (:mod:`repro.scope`);
 * an optional on-disk layer (``REPRO_CACHE_DIR`` or ``--cache-dir``)
   that persists pickled ``(analysis, bounds)`` pairs across processes,
   keyed by the same fingerprint;
@@ -27,7 +28,7 @@ rung (``docs/ROBUSTNESS.md``), disabling the disk layer for this cache
 while the in-memory LRU keeps working.  ``repro chaos`` exercises the
 ``cache.disk`` fault site and the dense-analysis fallback rung.
 
-The service's worker threads share the global cache.  Its own lock
+The service's worker threads share the default cache.  Its own lock
 guards only :class:`CacheStats` and is never taken while an LRU's lock
 is held; no lock is held across an analysis, pickling or disk I/O, so
 two threads missing on one program may both analyse it; the second
@@ -48,9 +49,9 @@ import os
 import pathlib
 import pickle
 import threading
-from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Any, ContextManager, Dict, Optional, Sequence, Tuple, Union
 
 from repro import store
 from repro.core.analysis import (
@@ -64,6 +65,7 @@ from repro.ir.program import Program
 from repro.obs import events as obs
 from repro.obs import metrics as obs_metrics
 from repro.resilience import faults, guard
+from repro.scope import bind
 
 #: Environment variable naming the on-disk cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -336,33 +338,16 @@ def _decode(data: bytes) -> Tuple[ThreadAnalysis, Optional[Bounds]]:
     return analysis, bounds
 
 
-_cache = AnalysisCache()
+_cache = ContextVar("repro.core.cache", default=AnalysisCache())
 
 
 def get_cache() -> AnalysisCache:
-    """The process-global analysis cache."""
-    return _cache
+    """The current context's analysis cache."""
+    return _cache.get()
 
 
-def set_cache(cache: AnalysisCache) -> AnalysisCache:
-    """Install ``cache`` globally; returns the previous cache."""
-    global _cache
-    previous = _cache
-    _cache = cache
-    return previous
-
-
-def set_cache_dir(path: Optional[Union[str, pathlib.Path]]) -> None:
-    """Point the global cache's on-disk layer at ``path`` (None disables)."""
-    _cache.cache_dir = pathlib.Path(path) if path else None
-
-
-@contextmanager
-def scoped(cache: Optional[AnalysisCache] = None) -> Iterator[AnalysisCache]:
-    """Swap in a fresh (or given) cache for the block, restoring on exit."""
-    fresh = cache if cache is not None else AnalysisCache()
-    previous = set_cache(fresh)
-    try:
-        yield fresh
-    finally:
-        set_cache(previous)
+def scoped(
+    cache: Optional[AnalysisCache] = None,
+) -> ContextManager[AnalysisCache]:
+    """Bind a fresh (or given) cache for the block, restoring on exit."""
+    return bind(_cache, cache if cache is not None else AnalysisCache())

@@ -1,17 +1,17 @@
 """Observability: structured tracing, metrics, and profiling.
 
 The subsystem is dependency-free and **zero-cost when disabled**: the
-process-global emitter defaults to a :class:`~repro.obs.events.NullEmitter`
+current emitter defaults to a :class:`~repro.obs.events.NullEmitter`
 whose ``emit`` is a constant-time no-op and whose ``span`` hands back a
 shared do-nothing context manager, so instrumented code paths pay one
-attribute check when nobody is listening.
+context-variable read and one attribute check when nobody is listening.
 
 Layers:
 
 * :mod:`repro.obs.events` -- structured events and nested phase spans
-  (wall-clock timed), captured by installing an :class:`Emitter`;
+  (wall-clock timed), captured by binding an :class:`Emitter`;
 * :mod:`repro.obs.metrics` -- counters / gauges / histograms in a
-  process-global registry with a JSON-ready ``snapshot()``;
+  context-scoped registry with a JSON-ready ``snapshot()``;
 * :mod:`repro.obs.export` -- JSON / JSONL writers, the combined
   ``run_snapshot`` document the CLI's ``--metrics`` flag produces, the
   ``BENCH_*.json`` benchmark-trajectory snapshots, and the standard

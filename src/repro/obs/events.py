@@ -9,10 +9,11 @@ Two primitives:
   enclosing span (``"allocate/inter"``), which is what turns a flat event
   log back into a phase tree.
 
-The process-global emitter defaults to :data:`NULL`, a no-op whose
-``emit`` returns immediately and whose ``span`` hands back one shared
-do-nothing context manager -- instrumented hot paths stay zero-cost until
-someone installs a real :class:`Emitter`, normally via :func:`capture`::
+The current emitter is a context variable whose default is :data:`NULL`,
+a no-op whose ``emit`` returns immediately and whose ``span`` hands back
+one shared do-nothing context manager -- instrumented hot paths stay
+zero-cost until :func:`capture` binds a real :class:`Emitter` for the
+current thread and the service jobs it submits::
 
     with capture() as em:
         allocate_programs(programs, nreg=32)
@@ -27,8 +28,13 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import (
+    Any, Callable, ContextManager, Dict, Iterator, List, Optional,
+)
+
+from repro.scope import bind
 
 
 @dataclass
@@ -189,49 +195,36 @@ class Emitter:
 #: The disabled singleton every call site sees by default.
 NULL = NullEmitter()
 
-_current: Any = NULL
+_current: ContextVar[Any] = ContextVar("repro.obs.emitter", default=NULL)
 
 
 def get_emitter() -> Any:
-    """The process-global emitter (``NULL`` unless :func:`capture` is
-    active or :func:`set_emitter` installed one)."""
-    return _current
-
-
-def set_emitter(emitter: Any) -> Any:
-    """Install ``emitter`` globally; returns the previous one."""
-    global _current
-    previous = _current
-    _current = emitter
-    return previous
+    """The current context's emitter (``NULL`` unless :func:`capture` is
+    active)."""
+    return _current.get()
 
 
 def enabled() -> bool:
-    return _current.enabled
+    return _current.get().enabled
 
 
 def emit(name: str, **fields: Any) -> None:
-    """Emit through the global emitter (no-op when disabled)."""
-    em = _current
+    """Emit through the current emitter (no-op when disabled)."""
+    em = _current.get()
     if em.enabled:
         em.emit(name, **fields)
 
 
 def span(name: str, **fields: Any):
-    """Open a span on the global emitter (no-op when disabled)."""
-    return _current.span(name, **fields)
+    """Open a span on the current emitter (no-op when disabled)."""
+    return _current.get().span(name, **fields)
 
 
-@contextmanager
-def capture(emitter: Optional[Emitter] = None) -> Iterator[Emitter]:
-    """Install a (fresh by default) emitter for the duration of the block.
+def capture(emitter: Optional[Emitter] = None) -> ContextManager[Emitter]:
+    """Bind a (fresh by default) emitter for the duration of the block.
 
-    The previous emitter is restored on exit, even on error, so captures
-    nest and never leak into unrelated code.
+    The binding covers this thread and the service jobs it submits, and
+    the previous emitter is restored on exit, even on error, so captures
+    nest and never leak into unrelated code (:mod:`repro.scope`).
     """
-    em = emitter if emitter is not None else Emitter()
-    previous = set_emitter(em)
-    try:
-        yield em
-    finally:
-        set_emitter(previous)
+    return bind(_current, emitter if emitter is not None else Emitter())

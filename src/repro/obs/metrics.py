@@ -1,4 +1,4 @@
-"""Counters, gauges, and histograms in a process-global registry.
+"""Counters, gauges, and histograms in a context-scoped registry.
 
 Metrics complement events: events answer *what happened, in order*,
 metrics answer *how much, in total*, cheaply enough to leave on.  All
@@ -27,23 +27,26 @@ was -- and ``snapshot()`` ordering stays stable (plain string sort over
 the full keys).  The conventional label keys are ``kernel``, ``engine``,
 ``thread``, ``impl``, ``site``, ``phase`` and ``kind``.
 
-Tests and profilers that need isolation swap the global registry with
-:func:`scoped` instead of resetting shared state they don't own.
+:func:`registry` is the current context's registry (:mod:`repro.scope`):
+the process default, which ``/metrics`` serves, unless tests and
+profilers that need isolation bound a fresh one with :func:`scoped`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import (
     Any,
+    ContextManager,
     Dict,
-    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
     Tuple,
 )
+
+from repro.scope import bind
 
 #: Default histogram bucket upper bounds (values above the last bound land
 #: in the overflow bucket).  Roughly log-spaced: decision costs, segment
@@ -220,7 +223,8 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Process-wide named metrics with get-or-create accessors."""
+    """Named metrics with get-or-create accessors.  Creation is atomic
+    (``dict.setdefault``): threads racing to create a series share one."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -233,7 +237,7 @@ class MetricsRegistry:
         key = format_key(name, pairs)
         c = self._counters.get(key)
         if c is None:
-            c = self._counters[key] = Counter(name, pairs)
+            c = self._counters.setdefault(key, Counter(name, pairs))
         return c
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
@@ -241,7 +245,7 @@ class MetricsRegistry:
         key = format_key(name, pairs)
         g = self._gauges.get(key)
         if g is None:
-            g = self._gauges[key] = Gauge(name, pairs)
+            g = self._gauges.setdefault(key, Gauge(name, pairs))
         return g
 
     def histogram(
@@ -254,7 +258,9 @@ class MetricsRegistry:
         key = format_key(name, pairs)
         h = self._histograms.get(key)
         if h is None:
-            h = self._histograms[key] = Histogram(name, bounds, pairs)
+            h = self._histograms.setdefault(
+                key, Histogram(name, bounds, pairs)
+            )
         return h
 
     # ------------------------------------------------------------------
@@ -278,35 +284,17 @@ class MetricsRegistry:
             },
         }
 
-    def reset(self) -> None:
-        """Drop every metric (names included, so types can change)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
-
-_registry = MetricsRegistry()
+_registry = ContextVar("repro.obs.metrics.registry", default=MetricsRegistry())
 
 
 def registry() -> MetricsRegistry:
-    """The process-global registry."""
-    return _registry
+    """The current context's registry."""
+    return _registry.get()
 
 
-def set_registry(reg: MetricsRegistry) -> MetricsRegistry:
-    """Install ``reg`` globally; returns the previous registry."""
-    global _registry
-    previous = _registry
-    _registry = reg
-    return previous
-
-
-@contextmanager
-def scoped(reg: Optional[MetricsRegistry] = None) -> Iterator[MetricsRegistry]:
-    """Swap in a fresh registry for the block, restoring on exit."""
-    fresh = reg if reg is not None else MetricsRegistry()
-    previous = set_registry(fresh)
-    try:
-        yield fresh
-    finally:
-        set_registry(previous)
+def scoped(
+    reg: Optional[MetricsRegistry] = None,
+) -> ContextManager[MetricsRegistry]:
+    """Bind a fresh (or given) registry for the block, restoring on exit."""
+    return bind(_registry, reg if reg is not None else MetricsRegistry())

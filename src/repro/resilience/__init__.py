@@ -27,7 +27,6 @@ from repro.resilience.guard import (
     Degradation,
     Rung,
     backoff_delays,
-    clear_degradations,
     degradations,
     record_degradation,
     retry_transient,
@@ -43,7 +42,6 @@ __all__ = [
     "LADDER",
     "Rung",
     "backoff_delays",
-    "clear_degradations",
     "degradations",
     "inject",
     "record_degradation",

@@ -1,10 +1,11 @@
-"""Deterministic, seedable, context-manager-scoped fault injection.
+"""Deterministic, seedable, context-scoped fault injection.
 
 Production code paths carry cheap *hook points* -- a call to
 :func:`fire` naming a **site** such as ``"cache.disk"`` or
 ``"sim.stuck"`` -- that return ``None`` unless a :class:`FaultPlan` is
 armed for the current block.  Arming happens only through
-:func:`inject`::
+:func:`inject`, which binds the plan in the current context (this
+thread and the service jobs it submits, :mod:`repro.scope`)::
 
     with inject(FaultSpec("cache.disk", mode="truncate"), seed=7) as plan:
         ...  # the next disk-cache read sees a truncated entry
@@ -57,12 +58,13 @@ site                   where / what
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from repro.obs import events as obs
 from repro.obs import metrics as obs_metrics
+from repro.scope import bind
 
 #: Wake delay used by the ``sim.stuck`` site: far past any plausible
 #: ``max_cycles`` so the blocked thread never becomes ready again and
@@ -166,60 +168,49 @@ class FaultPlan:
         return [r for r in self.fired if r.site == site]
 
 
-_active: Optional[FaultPlan] = None
+_active: ContextVar[Optional[FaultPlan]] = ContextVar(
+    "repro.resilience.faults.plan", default=None
+)
 
 
 def active() -> Optional[FaultPlan]:
     """The armed plan, or ``None`` (the overwhelmingly common case)."""
-    return _active
+    return _active.get()
 
 
 def fire(site: str, **context: Any) -> Optional[FaultSpec]:
     """Hook-point helper: fire against the armed plan, if any.
 
-    Cheap when disarmed -- one global read and a ``None`` check -- so
-    hook points on warm paths can call it unconditionally.  Hot loops
-    (the simulators) should instead grab :func:`active` once per run
-    and skip their fault branches entirely when it is ``None``.
+    Cheap when disarmed -- one context-variable read and a ``None``
+    check -- so hook points on warm paths can call it unconditionally.
+    Hot loops (the simulators) should instead grab :func:`active` once
+    per run and skip their fault branches entirely when it is ``None``.
     """
-    plan = _active
+    plan = _active.get()
     if plan is None:
         return None
     return plan.fire(site, **context)
 
 
-@contextmanager
 def inject(
     *specs: FaultSpec, seed: int = 0, plan: Optional[FaultPlan] = None
-) -> Iterator[FaultPlan]:
+) -> ContextManager[FaultPlan]:
     """Arm a fault plan for the duration of the block.
 
     The previous plan (normally none) is restored on exit, even on
     error, so injections scope cleanly and never leak into unrelated
-    code -- including across test boundaries.
+    code -- including across test boundaries and into other threads.
     """
-    global _active
     armed = plan if plan is not None else FaultPlan(specs, seed=seed)
-    previous = _active
-    _active = armed
-    try:
-        yield armed
-    finally:
-        _active = previous
+    return bind(_active, armed)
 
 
-@contextmanager
-def suspended() -> Iterator[None]:
+def suspended() -> ContextManager[None]:
     """Disarm fault injection for the block (restored on exit).
 
     Used by the independent verifier: its *oracle* runs must see the
     true machine, not the faulted one, or a corrupted oracle would mask
-    real divergence (or report phantom divergence).
+    real divergence (or report phantom divergence).  Other threads'
+    plans stay armed.
     """
-    global _active
-    previous = _active
-    _active = None
-    try:
-        yield
-    finally:
-        _active = previous
+    return bind(_active, None)

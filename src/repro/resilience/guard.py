@@ -5,7 +5,7 @@ cache silently swallowed errors, the spill fallback quietly retried.
 The ladder unifies them under one documented policy object: every
 rung names its trigger and its degraded mode, every *use* of a rung
 flows through :func:`record_degradation`, which appends a typed
-:class:`Degradation` record to a process-global log and emits a
+:class:`Degradation` record to one process-wide, locked log and emits a
 ``resilience.degrade`` telemetry event -- so a test (or the chaos
 harness) can assert that a masked fault really was masked *by policy*
 and not by accident.
@@ -39,6 +39,7 @@ each retry tagged with a ``resilience.retry`` event.
 from __future__ import annotations
 
 import random
+import threading
 import time
 import zlib
 from contextlib import contextmanager
@@ -141,12 +142,14 @@ class Degradation:
 
 
 _log: List[Degradation] = []
+_log_lock = threading.Lock()
 
 
 def record_degradation(rung: str, reason: str, **context: Any) -> Degradation:
     """Record that ``rung`` was taken; returns the typed record.
 
-    Appends to the process-global log (see :func:`degradations`) and
+    Numbers and appends under one lock to the process-wide log (see
+    :func:`degradations`), so every record's ``seq`` is distinct, and
     emits a ``resilience.degrade`` event plus a ``site=<rung>``-labeled
     metric counter when telemetry is active.  ``rung`` must name a :data:`LADDER` row.
     """
@@ -155,13 +158,14 @@ def record_degradation(rung: str, reason: str, **context: Any) -> Degradation:
             f"unknown degradation rung {rung!r}; known: "
             f"{', '.join(sorted(_RUNG_NAMES))}"
         )
-    record = Degradation(
-        rung=rung,
-        reason=reason,
-        seq=len(_log),
-        context=tuple(sorted(context.items())),
-    )
-    _log.append(record)
+    with _log_lock:
+        record = Degradation(
+            rung=rung,
+            reason=reason,
+            seq=len(_log),
+            context=tuple(sorted(context.items())),
+        )
+        _log.append(record)
     em = obs.get_emitter()
     if em.enabled:
         em.emit("resilience.degrade", **record.to_dict())
@@ -174,11 +178,6 @@ def record_degradation(rung: str, reason: str, **context: Any) -> Degradation:
 def degradations() -> Tuple[Degradation, ...]:
     """Every degradation recorded by this process, oldest first."""
     return tuple(_log)
-
-
-def clear_degradations() -> None:
-    """Drop the log (tests and the chaos harness scope runs with this)."""
-    _log.clear()
 
 
 @contextmanager

@@ -70,6 +70,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro import errors
 from repro.core.pipeline import AllocationOutcome
 from repro.errors import (
     DeadlineExceeded,
@@ -458,20 +459,15 @@ def http_status(envelope: Mapping[str, Any]) -> int:
 
 
 #: Exception classes a client raises back from ``error.type`` strings.
-_CLIENT_ERRORS: Dict[str, type] = {}
+_CLIENT_ERRORS: Dict[str, type] = {
+    name: obj
+    for name, obj in vars(errors).items()
+    if isinstance(obj, type) and issubclass(obj, ReproError)
+}
 
 
 def exception_for(envelope: Mapping[str, Any]) -> ReproError:
     """Rehydrate the typed exception a response envelope describes."""
-    global _CLIENT_ERRORS
-    if not _CLIENT_ERRORS:
-        from repro import errors as _errors
-
-        _CLIENT_ERRORS = {
-            name: obj
-            for name, obj in vars(_errors).items()
-            if isinstance(obj, type) and issubclass(obj, ReproError)
-        }
     err = envelope.get("error") or {}
     name = err.get("type", "ReproError")
     message = err.get("message", "service error")

@@ -25,8 +25,9 @@ Request lifecycle (the order is the robustness story)::
               validated programs are stored)
     coalesce  identical in-flight request -> follow the leader
     admit     bounded queue; full or draining -> typed 429 + retry_after
-    execute   worker thread, Deadline threaded into the pipeline,
-              breakers around store/engine/verifier
+    execute   worker thread in the submitter's context, Deadline
+              threaded into the pipeline, breakers around
+              store/engine/verifier
     respond   ok / typed error envelope; degraded modes flagged
 
 Every response is either a payload byte-identical to a direct
@@ -49,6 +50,7 @@ import json
 import math
 import threading
 import time
+from contextvars import Context, copy_context
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -114,11 +116,13 @@ class ServiceConfig:
 
 @dataclass
 class _Job:
-    """One admitted execution: the leader's request plus its outcome slot."""
+    """One admitted execution: the leader's request, its outcome slot and
+    its submitter's context (:mod:`repro.scope`), which the job runs in."""
 
     request: protocol.ServiceRequest
     deadline: Deadline
     entry: Entry
+    context: Context
 
 
 class ServiceCore:
@@ -319,7 +323,7 @@ class ServiceCore:
             entry, leader = self.coalescer.lease(key)
             coalesced = not leader
             if leader:
-                job = _Job(request=request, deadline=deadline, entry=entry)
+                job = _Job(request, deadline, entry, copy_context())
                 try:
                     self.queue.offer(job, priority=request.priority)
                 except ServiceOverloaded:
@@ -476,7 +480,7 @@ class ServiceCore:
             job = self.queue.take()
             if job is None:
                 return
-            self._execute(job)
+            job.context.run(self._execute, job)
 
     def _execute(self, job: _Job) -> None:
         """One admitted request, end to end; resolves the coalesce entry
@@ -674,7 +678,9 @@ class _ThreadingServer(http.server.ThreadingHTTPServer):
 
 
 class ReproServer:
-    """One :class:`ServiceCore` behind a threading HTTP server."""
+    """One :class:`ServiceCore` behind a threading HTTP server.  Its
+    connection threads start in an empty context, so HTTP requests run
+    under :mod:`repro.scope`'s process defaults."""
 
     def __init__(
         self,

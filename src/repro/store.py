@@ -138,7 +138,8 @@ def trim_quarantine(
     the oldest first (by mtime, then name, so the order is deterministic
     on coarse-clock filesystems; files already gone are skipped, since
     another process may trim concurrently).  Returns how many it removed
-    and, if any, emits a ``cache.quarantine_trimmed`` event and counter."""
+    and, if any, counts them in ``cache.quarantine_trimmed`` and emits
+    that event under a capture."""
     if cap < 0:
         raise ValueError(f"quarantine cap must be >= 0, got {cap}")
     try:
@@ -152,10 +153,10 @@ def trim_quarantine(
             trimmed += 1
         except OSError:
             pass
-    if trimmed and obs.enabled():
+    if trimmed:
+        obs_metrics.registry().counter("cache.quarantine_trimmed").inc(trimmed)
         obs.emit("cache.quarantine_trimmed", directory=str(directory),
                  trimmed=trimmed, cap=cap)
-        obs_metrics.registry().counter("cache.quarantine_trimmed").inc(trimmed)
     return trimmed
 
 

@@ -11,7 +11,6 @@ from repro.core.cache import (
     CacheStats,
     get_cache,
     scoped,
-    set_cache_dir,
 )
 from repro.core.pipeline import allocate_programs
 from repro.ir.parser import parse_program
@@ -118,15 +117,6 @@ def test_env_cache_dir(tmp_path, monkeypatch):
     assert cache.cache_dir == tmp_path
     monkeypatch.delenv("REPRO_CACHE_DIR")
     assert AnalysisCache().cache_dir is None
-
-
-def test_set_cache_dir(tmp_path):
-    with scoped() as cache:
-        assert cache.cache_dir is None
-        set_cache_dir(tmp_path)
-        assert cache.cache_dir == tmp_path
-        set_cache_dir(None)
-        assert cache.cache_dir is None
 
 
 def test_telemetry_counters():

@@ -1,6 +1,7 @@
 """Tests for the telemetry subsystem (repro.obs)."""
 
 import json
+import threading
 
 import pytest
 
@@ -116,6 +117,26 @@ def test_scoped_registry_isolates():
         reg.counter("x").inc()
     assert metrics.registry() is outer
     assert "x" not in outer.snapshot()["counters"]
+
+
+def test_racing_threads_create_one_series():
+    # Four threads create the same 200 labelled counters at once, 200
+    # times over; every increment lands in the one series they share.
+    from tests.test_service import hammer_threads
+
+    registries = [metrics.MetricsRegistry() for _ in range(200)]
+    barrier = threading.Barrier(4, timeout=60)
+
+    def create(_):
+        for reg in registries:
+            barrier.wait()
+            for i in range(200):
+                reg.counter("race", i=i).inc()
+
+    hammer_threads(create)
+    for reg in registries:
+        counts = reg.snapshot()["counters"]
+        assert len(counts) == 200 and set(counts.values()) == {4}
 
 
 def test_labeled_series_are_independent_and_deterministic():

@@ -146,6 +146,24 @@ def test_record_degradation_logs_and_emits():
     assert any(e.name == "resilience.degrade" for e in em.events)
 
 
+def test_degradation_seqs_stay_distinct_across_threads():
+    # The log is process-wide: worker threads record into it at once.
+    from tests.test_service import hammer_threads
+
+    records = [[] for _ in range(4)]
+
+    def record(i):
+        for _ in range(5_000):
+            records[i].append(
+                guard.record_degradation("cache.disk_to_memory", reason="race")
+            )
+
+    hammer_threads(record)
+    seqs = [d.seq for recs in records for d in recs]
+    assert len(seqs) == 20_000
+    assert len(set(seqs)) == len(seqs)
+
+
 def test_ladder_documents_every_rung():
     names = {r.name for r in guard.LADDER}
     assert names == {

@@ -36,7 +36,8 @@ from repro.errors import (
 )
 from repro.ir.parser import parse_program
 from repro.obs import metrics as obs_metrics
-from repro.resilience import guard
+from repro.resilience import faults, guard
+from repro.resilience.faults import FaultSpec
 from repro.resilience.guard import backoff_delays
 from repro.service import protocol
 from repro.service.admission import AdmissionQueue
@@ -511,6 +512,43 @@ class TestServiceCore:
             assert envelope["degraded"] == []
         finally:
             assert core.drain(5.0)
+
+    def test_a_job_runs_under_its_submitters_fault_plan(self):
+        core = self.make()
+        core.start()
+        try:
+            with faults.inject(FaultSpec("service.handler")) as plan:
+                status, envelope = core.submit(doc_for())
+        finally:
+            core.drain(5.0)
+        assert status == 500
+        assert envelope["error"]["type"] == "InjectedFault"
+        assert [r.site for r in plan.fired] == ["service.handler"]
+
+    def test_a_plan_armed_on_another_thread_does_not_reach_a_job(self):
+        armed, done = threading.Event(), threading.Event()
+        plans = []
+
+        def arm():
+            with faults.inject(FaultSpec("service.handler")) as plan:
+                plans.append(plan)
+                armed.set()
+                done.wait(30.0)
+
+        arming = threading.Thread(target=arm)
+        arming.start()
+        core = self.make()
+        core.start()
+        try:
+            assert armed.wait(10.0)
+            status, envelope = core.submit(doc_for())
+        finally:
+            done.set()
+            arming.join(10.0)
+            core.drain(5.0)
+        assert not arming.is_alive()
+        assert status == 200, envelope["error"]
+        assert plans[0].fired == []
 
     def test_replay_is_cached_and_identical(self):
         core = self.make()

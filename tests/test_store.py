@@ -15,7 +15,7 @@ from repro.core.analysis import analyze_thread
 from repro.core.bounds import estimate_bounds
 from repro.core.cache import AnalysisCache
 from repro.ir.parser import parse_program
-from repro.obs import events
+from repro.obs import events, metrics
 from repro.service.store import ResultStore
 from tests.conftest import FIG3_T1, FIG3_T2, MINI_KERNEL
 from tests.test_service import hammer_threads
@@ -101,6 +101,17 @@ def test_quarantine_capped_oldest_first(tmp_path):
     assert survivors == ["entry4.bad", "entry5.bad"]
     trims = [e for e in em.events if e.name == "cache.quarantine_trimmed"]
     assert trims and trims[0].fields["trimmed"] == 4
+
+
+def test_trims_are_counted_without_a_capture(tmp_path):
+    """``cache.quarantine_trimmed`` is one of the always-recorded
+    metrics a server's ``/metrics`` shows; only its event needs a
+    capture."""
+    for i in range(5):
+        (tmp_path / f"entry{i}.bad").write_bytes(b"x")
+    with metrics.scoped() as reg:
+        assert store.trim_quarantine(tmp_path, cap=2) == 3
+    assert reg.snapshot()["counters"] == {"cache.quarantine_trimmed": 3}
 
 
 def test_existing_format_entries_still_load(tmp_path):
