@@ -20,17 +20,26 @@ travels in a register)::
 so every reload/writeback is a context-switch boundary -- the property
 Table 3 of the paper exploits.  Each spilled value gets a dedicated slot
 in a per-thread spill area.
+
+The graph is built and colored on masks: :func:`_build_graph` is the dense
+liveness (:func:`~repro.core.dense.liveness_masks`) and the GIG adjacency
+the analysis uses (:func:`~repro.core.dense.gig_adjacency`), and
+:func:`_simplify_select` keeps degrees in an array, the trivially
+colorable nodes and the colored nodes in masks.  Ranks follow ``str``
+order, so every choice equals the set-based loop over
+``co_live_pairs`` and an ``UndirectedGraph`` that it replaces, which
+``tests/test_baseline_chaitin.py`` keeps as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.cfg.edit import ProgramEditor
-from repro.cfg.liveness import co_live_pairs, compute_liveness
+from repro.core.dense import gig_adjacency, liveness_masks
 from repro.errors import AllocationError
-from repro.igraph.graph import UndirectedGraph
+from repro.igraph.graph import bit_indices, lowest_clear_bit, popcount
 from repro.ir.instruction import Instruction
 from repro.ir.opcodes import Opcode
 from repro.ir.operands import Imm, PhysReg, Reg, VirtualReg
@@ -56,15 +65,14 @@ class ChaitinResult:
         return self.spill_loads + self.spill_stores
 
 
-def _build_graph(program: Program) -> UndirectedGraph:
-    liveness = compute_liveness(program)
-    graph = UndirectedGraph()
-    for instr in program.instrs:
-        for reg in instr.regs:
-            graph.add_node(reg)
-    for a, b in co_live_pairs(liveness):
-        graph.add_edge(a, b)
-    return graph
+#: An interference graph: the registers by rank, and per rank the
+#: neighbor mask.
+MaskGraph = Tuple[Tuple[Reg, ...], List[int]]
+
+
+def _build_graph(program: Program) -> MaskGraph:
+    dl = liveness_masks(program)
+    return dl.dmap.regs, gig_adjacency(dl)
 
 
 def _occurrences(program: Program) -> Dict[Reg, int]:
@@ -86,46 +94,64 @@ def _occurrences(program: Program) -> Dict[Reg, int]:
 
 
 def _simplify_select(
-    graph: UndirectedGraph, k: int, occurrences: Dict[Reg, int]
+    graph: MaskGraph, k: int, occurrences: Dict[Reg, int]
 ) -> Tuple[Dict[Reg, int], List[Reg]]:
     """One coloring attempt: returns (coloring, actual_spills)."""
-    work = graph.copy()
-    remaining: Set[Reg] = set(work.nodes())
-    stack: List[Tuple[Reg, bool]] = []  # (node, is_potential_spill)
+    regs, adj = graph
+    deg = [popcount(m) for m in adj]
+    weight = [occurrences.get(r, 0) for r in regs]
+    remaining = (1 << len(regs)) - 1
+    # Remaining nodes of degree < k; its lowest bit is the trivial pick.
+    trivial = 0
+    for i, d in enumerate(deg):
+        if d < k:
+            trivial |= 1 << i
+    stack: List[Tuple[int, bool]] = []  # (rank, is_potential_spill)
     while remaining:
-        trivial = [n for n in remaining if work.degree(n) < k]
         if trivial:
-            node = min(trivial, key=str)
-            stack.append((node, False))
+            bit = trivial & -trivial
+            i = bit.bit_length() - 1
+            stack.append((i, False))
         else:
-            node = min(
-                remaining,
-                key=lambda n: (
-                    occurrences.get(n, 0) / max(work.degree(n), 1),
-                    str(n),
-                ),
+            i = min(
+                bit_indices(remaining),
+                key=lambda x: (weight[x] / max(deg[x], 1), x),
             )
-            stack.append((node, True))
-        work.remove_node(node)
-        remaining.discard(node)
+            bit = 1 << i
+            stack.append((i, True))
+        remaining ^= bit
+        trivial &= ~bit
+        m = adj[i] & remaining
+        while m:
+            low = m & -m
+            m ^= low
+            j = low.bit_length() - 1
+            deg[j] -= 1
+            if deg[j] == k - 1:
+                trivial |= low
 
+    colors = [0] * len(regs)
+    colored = 0
     coloring: Dict[Reg, int] = {}
     spills: List[Reg] = []
-    for node, potential in reversed(stack):
-        used = {
-            coloring[nbr]
-            for nbr in graph.neighbor_set(node)
-            if nbr in coloring
-        }
-        color = next((c for c in range(k) if c not in used), None)
-        if color is None:
+    for i, potential in reversed(stack):
+        used = 0
+        m = adj[i] & colored
+        while m:
+            low = m & -m
+            m ^= low
+            used |= 1 << colors[low.bit_length() - 1]
+        color = lowest_clear_bit(used)
+        if color >= k:
             if not potential:
                 raise AllocationError(
-                    f"non-spill node {node} failed to color (k={k})"
+                    f"non-spill node {regs[i]} failed to color (k={k})"
                 )
-            spills.append(node)
+            spills.append(regs[i])
         else:
-            coloring[node] = color
+            colors[i] = color
+            colored |= 1 << i
+            coloring[regs[i]] = color
     return coloring, spills
 
 

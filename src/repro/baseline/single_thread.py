@@ -18,7 +18,7 @@ from repro.baseline.chaitin import (
 )
 from repro.core.analysis import ThreadAnalysis, analyze_thread
 from repro.errors import AllocationError
-from repro.igraph.coloring import min_color, num_colors
+from repro.igraph.coloring import min_color, min_color_masks, num_colors
 from repro.ir.program import Program
 
 #: Spill-area stride between threads so their slots never collide.
@@ -33,11 +33,15 @@ def single_thread_register_count(
 
     This is the first bar of the paper's Figure 14.  Pass a precomputed
     ``analysis`` of ``program`` (e.g. from :mod:`repro.core.cache`) to
-    skip the re-analysis; the graph is only read, never mutated.
+    skip the re-analysis; the GIG is colored on the analysis'
+    interference masks, or as a graph when it has none.
     """
     if analysis is None:
         analysis = analyze_thread(program)
-    return num_colors(min_color(analysis.graphs.gig))
+    masks = analysis.graphs.masks
+    if masks is None:
+        return num_colors(min_color(analysis.graphs.gig))
+    return num_colors(min_color_masks((1 << len(masks.regs)) - 1, masks.gig))
 
 
 @dataclass

@@ -10,7 +10,9 @@
   and merging (paper Figure 7, :mod:`repro.igraph.merge`).
 
 The merge's coloring is kept: it seeds the intra-thread allocator's initial
-context.
+context.  A dense-built analysis is merged on its interference masks; one
+without them (a reference-built analysis) takes the set-based twin, which
+gives the same bounds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.core.analysis import ThreadAnalysis
-from repro.igraph.merge import merge_region_colorings
+from repro.igraph.merge import (
+    merge_region_colorings,
+    merge_region_colorings_reference,
+)
 from repro.ir.operands import Reg
 
 
@@ -48,7 +53,11 @@ def estimate_bounds(analysis: ThreadAnalysis) -> Bounds:
     """Compute all four bounds for one analysed thread."""
     min_r = analysis.liveness.reg_p_max()
     min_pr = analysis.liveness.reg_p_csb_max()
-    merged = merge_region_colorings(analysis.graphs)
+    graphs = analysis.graphs
+    if graphs.masks is not None:
+        merged = merge_region_colorings(graphs)
+    else:
+        merged = merge_region_colorings_reference(graphs)
     max_pr = max(merged.max_pr, min_pr)
     max_r = max(merged.max_r, min_r, max_pr)
     return Bounds(

@@ -25,11 +25,22 @@ The dense kernels are the only path an analysis takes:
 them directly.  The set-based reference construction stays, reached
 only by name (:func:`~repro.core.analysis.analyze_thread_reference`,
 ``compute_liveness_reference``, ``rename_webs_reference``,
-``dsatur_color_reference``, ``simplify_color_reference``): the tests
-compare against it, and the analysis cache's
-``analysis.dense_to_reference`` fallback re-analyzes with it.
-Everything downstream of liveness keys off the presence of the
-:class:`DenseLiveness` payload, so one analysis never mixes the two.
+``dsatur_color_reference``, ``simplify_color_reference``,
+``merge_region_colorings_reference``): the tests compare against it,
+and the analysis cache's ``analysis.dense_to_reference`` fallback
+re-analyzes with it.  Everything downstream of liveness keys off the
+presence of the :class:`DenseLiveness` payload, so one analysis never
+mixes the two.
+
+Interference stays in mask form.  :func:`build_interference_dense`
+returns an :class:`~repro.igraph.interference.InterferenceMasks` payload
+over the :class:`DenseMap` ranks -- GIG and BIG neighbor masks, the
+boundary mask and one node mask per NSR -- and builds no graph object.
+The Figure-7 merge (:func:`repro.igraph.merge.merge_region_colorings`),
+the Chaitin baseline (which shares :func:`gig_adjacency` and
+:func:`liveness_masks`) and the Figure-14 standalone count color those
+masks; ``analysis.graphs.gig``/``big``/``iigs`` are built from them only
+when something reads them (the analysis digest and the tests).
 
 The conflict kernel encodes the paper's def-vs-dying-use exception (see
 :func:`repro.core.analysis.true_conflict`) as three mask formulas.  For
@@ -42,7 +53,7 @@ an occupant ``a`` of slot ``s`` with occupant mask ``occ``, def mask
 
 ``tests/test_dense.py`` checks this against the shared predicate over
 every membership combination, and differentially checks whole analyses,
-bounds and allocations against the reference implementation.
+merges, bounds and allocations against the reference implementation.
 """
 
 from __future__ import annotations
@@ -51,13 +62,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.cfg.liveness import Liveness
 from repro.cfg.nsr import NsrInfo
-from repro.igraph.graph import (
-    UndirectedGraph,
-    bit_indices,
-    graph_from_dense,
-    popcount,
-)
-from repro.igraph.interference import InterferenceGraphs
+from repro.igraph.graph import bit_indices, popcount
+from repro.igraph.interference import InterferenceGraphs, InterferenceMasks
 from repro.ir.operands import Reg
 from repro.ir.program import Program
 
@@ -69,6 +75,8 @@ __all__ = [
     "compute_liveness_dense",
     "finish_analysis_dense",
     "get_default_analysis_impl",
+    "gig_adjacency",
+    "liveness_masks",
     "mask_of_slots",
     "popcount",
 ]
@@ -205,13 +213,8 @@ class DenseLiveness:
 # ---------------------------------------------------------------------------
 # Liveness.
 # ---------------------------------------------------------------------------
-def compute_liveness_dense(program: Program) -> Liveness:
-    """The backward liveness worklist over bitmasks.
-
-    Returns a :class:`Liveness` whose frozensets are materialized only at
-    this API boundary (and interned through the :class:`DenseMap` memo);
-    the raw masks ride along as the ``_dense`` payload.
-    """
+def liveness_masks(program: Program) -> DenseLiveness:
+    """The backward liveness worklist over bitmasks, masks only."""
     instrs = program.instrs
     n = len(instrs)
     defs_l = [ins.defs for ins in instrs]
@@ -258,118 +261,125 @@ def compute_liveness_dense(program: Program) -> Liveness:
                     in_list[p] = True
                     worklist.append(p)
 
-    payload = DenseLiveness(dmap, live_in, live_out, defs_m, uses_m)
-    frozen = dmap.frozen
+    return DenseLiveness(dmap, live_in, live_out, defs_m, uses_m)
+
+
+def compute_liveness_dense(program: Program) -> Liveness:
+    """:func:`liveness_masks` as a :class:`Liveness`.
+
+    The frozensets are materialized only at this API boundary (and
+    interned through the :class:`DenseMap` memo); the raw masks ride
+    along as the ``_dense`` payload.
+    """
+    dl = liveness_masks(program)
+    frozen = dl.dmap.frozen
     return Liveness(
         program=program,
-        live_in=[frozen(m) for m in live_in],
-        live_out=[frozen(m) for m in live_out],
-        def_sets=[frozen(m) for m in defs_m],
-        _dense=payload,
+        live_in=[frozen(m) for m in dl.live_in],
+        live_out=[frozen(m) for m in dl.live_out],
+        def_sets=[frozen(m) for m in dl.defs],
+        _dense=dl,
     )
 
 
 # ---------------------------------------------------------------------------
 # Interference graphs.
 # ---------------------------------------------------------------------------
-def build_interference_dense(
-    liveness: Liveness, nsr: NsrInfo
-) -> InterferenceGraphs:
-    """GIG/BIG/IIG construction from adjacency bitmasks.
+def gig_adjacency(dl: DenseLiveness) -> List[int]:
+    """Per register rank, the GIG neighbor mask.
 
-    Mirrors :func:`repro.igraph.interference.build_interference` exactly:
-    the GIG gets every register as a node and the
-    :func:`~repro.cfg.liveness.co_live_pairs` relation as edges (a def
-    interferes with everything live-out plus the simultaneous-writes
-    clique, entry-live registers form a clique); the BIG holds per-CSB
-    cliques over boundary ranges; the IIGs carry GIG edges between
-    internal ranges, asserting the paper's claim 2.
+    The :func:`~repro.cfg.liveness.co_live_pairs` relation: a def
+    interferes with everything live out of its instruction plus the
+    simultaneous-writes clique, and the registers live at entry form a
+    clique.  The dense analysis and the Chaitin baseline both build their
+    interference graphs here.
     """
-    dl: DenseLiveness = liveness._dense  # type: ignore[assignment]
-    dmap = dl.dmap
-    regs = dmap.regs
-    nregs = len(regs)
-    n = len(liveness.program.instrs)
-
-    adj = [0] * nregs
-    entry_m = dl.live_in[0] if n else 0
+    adj = [0] * len(dl.dmap)
+    entry_m = dl.live_in[0] if dl.live_in else 0
     m = entry_m
     while m:
         low = m & -m
         adj[low.bit_length() - 1] |= entry_m & ~low
         m ^= low
-    for i in range(n):
-        d = dl.defs[i]
+    # Each def takes its instruction's edges in one OR; the other
+    # direction is added once per edge below, not once per instruction
+    # that re-creates the edge.
+    defined = [0] * len(adj)
+    for d, out in zip(dl.defs, dl.live_out):
         if not d:
             continue
-        out = dl.live_out[i]
         both = out | d
         m = d
         while m:
             low = m & -m
-            adj[low.bit_length() - 1] |= both & ~low
+            defined[low.bit_length() - 1] |= both & ~low
             m ^= low
-        m = out & ~d
+    for a, m in enumerate(defined):
+        if not m:
+            continue
+        adj[a] |= m
+        bit = 1 << a
         while m:
             low = m & -m
-            adj[low.bit_length() - 1] |= d
+            adj[low.bit_length() - 1] |= bit
             m ^= low
-    gig = graph_from_dense(regs, (1 << nregs) - 1 if nregs else 0, adj)
+    return adj
 
-    badj = [0] * nregs
-    m = entry_m
-    while m:
-        low = m & -m
-        badj[low.bit_length() - 1] |= entry_m & ~low
-        m ^= low
-    for c in nsr.csbs:
-        am = dl.live_out[c] & ~dl.defs[c]
+
+def build_interference_dense(
+    liveness: Liveness, nsr: NsrInfo
+) -> InterferenceGraphs:
+    """GIG/BIG/IIG construction as adjacency bitmasks.
+
+    Mirrors :func:`repro.igraph.interference.build_interference` exactly,
+    as :class:`~repro.igraph.interference.InterferenceMasks` over the
+    liveness' ranks: the GIG gets every register as a node and
+    :func:`gig_adjacency` as edges; the BIG holds per-CSB cliques over
+    boundary ranges (and the entry clique); each IIG is its NSR's
+    internal ranges with the GIG edges between them, asserting the
+    paper's claim 2.
+    """
+    dl: DenseLiveness = liveness._dense  # type: ignore[assignment]
+    dmap = dl.dmap
+    regs = dmap.regs
+    index = dmap.index
+    adj = gig_adjacency(dl)
+
+    badj = [0] * len(regs)
+    entry_m = dl.live_in[0] if dl.live_in else 0
+    for am in [entry_m] + [dl.live_out[c] & ~dl.defs[c] for c in nsr.csbs]:
         m = am
         while m:
             low = m & -m
             badj[low.bit_length() - 1] |= am & ~low
             m ^= low
-    boundary_mask = dmap.mask_of(nsr.boundary)
-    big = graph_from_dense(regs, boundary_mask, badj)
 
-    iigs: Dict[int, UndirectedGraph] = {
-        rid: UndirectedGraph() for rid in range(nsr.n_regions)
-    }
+    regions = [0] * nsr.n_regions
     for reg in nsr.internal:
-        iigs[nsr.nsr_of_internal[reg]].add_node(reg)
+        regions[nsr.nsr_of_internal[reg]] |= 1 << index[reg]
     internal_mask = dmap.mask_of(nsr.internal)
-    m = internal_mask
-    while m:
-        low = m & -m
-        ai = low.bit_length() - 1
-        m ^= low
-        # Only pairs with the higher-indexed endpoint: each edge once, in
-        # the reference's ``gig.edges()`` (str-sorted) order.
-        pairs = adj[ai] & internal_mask & ~((low << 1) - 1)
-        if not pairs:
-            continue
+    for ai in bit_indices(internal_mask):
+        # Ascending ranks meet a cross-region edge at its lower endpoint
+        # first, as the reference's ``gig.edges()`` walk does.
         a = regs[ai]
         rid_a = nsr.nsr_of_internal[a]
-        while pairs:
-            lo2 = pairs & -pairs
-            b = regs[lo2.bit_length() - 1]
-            pairs ^= lo2
-            rid_b = nsr.nsr_of_internal[b]
-            if rid_a != rid_b:
-                raise AssertionError(
-                    f"internal ranges {a} (NSR {rid_a}) and {b} "
-                    f"(NSR {rid_b}) interfere across regions; "
-                    f"claim 2 violated"
-                )
-            iigs[rid_a].add_edge(a, b)
+        cross = adj[ai] & internal_mask & ~regions[rid_a]
+        if cross:
+            b = regs[(cross & -cross).bit_length() - 1]
+            raise AssertionError(
+                f"internal ranges {a} (NSR {rid_a}) and {b} "
+                f"(NSR {nsr.nsr_of_internal[b]}) interfere across "
+                f"regions; claim 2 violated"
+            )
 
-    return InterferenceGraphs(
-        gig=gig,
-        big=big,
-        iigs=iigs,
-        boundary=nsr.boundary,
-        internal=nsr.internal,
+    masks = InterferenceMasks(
+        regs=regs,
+        gig=adj,
+        big=badj,
+        boundary=dmap.mask_of(nsr.boundary),
+        regions=regions,
     )
+    return InterferenceGraphs(nsr.boundary, nsr.internal, masks=masks)
 
 
 # ---------------------------------------------------------------------------

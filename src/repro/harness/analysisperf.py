@@ -53,7 +53,8 @@ def analysis_digest(an: ThreadAnalysis) -> str:
     Iteration orders of the ordered fields (occupant tuples, flow edges,
     ``conflicts_at`` pair lists) are part of the digest, so two
     implementations only agree when they are bit-identical, not merely
-    set-equal.
+    set-equal.  A dense-built analysis builds its graphs from its
+    interference masks here, outside the timed region.
     """
     graphs = an.graphs
     payload = {

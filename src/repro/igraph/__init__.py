@@ -1,7 +1,9 @@
 """Interference graphs and coloring.
 
-* :mod:`repro.igraph.graph` -- a small deterministic undirected graph.
-* :mod:`repro.igraph.coloring` -- greedy / DSATUR / simplify colorings.
+* :mod:`repro.igraph.graph` -- a small deterministic undirected graph and
+  the bit helpers of the mask kernels.
+* :mod:`repro.igraph.coloring` -- DSATUR / simplify colorings, on masks
+  and on graphs.
 * :mod:`repro.igraph.interference` -- GIG, BIG and per-NSR IIG builders
   (section 3.2 of the paper).
 * :mod:`repro.igraph.merge` -- region-wise coloring merge with
@@ -11,7 +13,6 @@
 from repro.igraph.graph import UndirectedGraph
 from repro.igraph.coloring import (
     dsatur_color,
-    greedy_color,
     min_color,
     num_colors,
     simplify_color,
@@ -22,7 +23,6 @@ from repro.igraph.merge import MergeResult, merge_region_colorings
 
 __all__ = [
     "UndirectedGraph",
-    "greedy_color",
     "dsatur_color",
     "simplify_color",
     "min_color",

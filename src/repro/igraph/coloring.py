@@ -3,7 +3,6 @@
 Minimum graph coloring is NP-hard; the paper (and every register allocator
 since Chaitin) uses heuristics.  We provide:
 
-* :func:`greedy_color` -- smallest-available color in a caller-given order;
 * :func:`dsatur_color` -- Brelaz's DSATUR, usually the tightest here;
 * :func:`simplify_color` -- Chaitin/Briggs-style simplify-select, the shape
   register allocators traditionally use;
@@ -11,27 +10,34 @@ since Chaitin) uses heuristics.  We provide:
 
 All orders break ties on ``str(node)``, so results are deterministic.
 
-DSATUR and simplify-select walk the graph's
-:meth:`~repro.igraph.graph.UndirectedGraph.dense_view` (saturation and
-used-color sets as int masks, tie-breaks on the dense index, which is
-assigned in ``str`` order).  Each has a set-based twin,
-:func:`dsatur_color_reference` and :func:`simplify_color_reference`,
-which the differential tests call by name; the twins produce identical
-colorings, insertion order included.
+Both heuristics are mask kernels over ranks:
+:func:`dsatur_color_masks`, :func:`simplify_color_masks` and
+:func:`min_color_masks` color the nodes of a rank mask given per-rank
+neighbor masks (saturation and used-color sets as int masks, tie-breaks
+on the rank).  The Figure-7 merge calls them on the dense analysis'
+masks, whose ranks are assigned in ``str`` order, and the graph entry
+points call them on the graph's
+:meth:`~repro.igraph.graph.UndirectedGraph.dense_view`.  Each graph entry
+point has a set-based twin, :func:`dsatur_color_reference` and
+:func:`simplify_color_reference`, which the differential tests call by
+name; the twins produce identical colorings, insertion order included.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Sequence
 
-from repro.igraph.graph import Node, UndirectedGraph, popcount
+from repro.igraph.graph import (
+    Node,
+    UndirectedGraph,
+    bit_indices,
+    lowest_clear_bit,
+    popcount,
+)
 
 Coloring = Dict[Node, int]
-
-
-def _lowest_clear_bit(mask: int) -> int:
-    """Index of the lowest zero bit: ``first_free_color`` on a mask."""
-    return (~mask & (mask + 1)).bit_length() - 1
+#: Rank -> color, in the order the heuristic colored the ranks.
+RankColoring = Dict[int, int]
 
 
 def first_free_color(used: Iterable[int]) -> int:
@@ -41,31 +47,6 @@ def first_free_color(used: Iterable[int]) -> int:
     while c in taken:
         c += 1
     return c
-
-
-def greedy_color(
-    graph: UndirectedGraph,
-    order: Optional[List[Node]] = None,
-    fixed: Optional[Coloring] = None,
-) -> Coloring:
-    """Color nodes in ``order`` with the smallest available color.
-
-    ``fixed`` pre-assigns colors that are respected and not changed
-    (pre-colored nodes need not appear in ``order``).
-    """
-    coloring: Coloring = dict(fixed) if fixed else {}
-    if order is None:
-        order = graph.nodes()
-    for node in order:
-        if node in coloring:
-            continue
-        used = {
-            coloring[nbr]
-            for nbr in graph.neighbor_set(node)
-            if nbr in coloring
-        }
-        coloring[node] = first_free_color(used)
-    return coloring
 
 
 def dsatur_color_reference(graph: UndirectedGraph) -> Coloring:
@@ -87,40 +68,55 @@ def dsatur_color_reference(graph: UndirectedGraph) -> Coloring:
     return coloring
 
 
-def dsatur_color(graph: UndirectedGraph) -> Coloring:
-    """Brelaz's DSATUR: always color the node whose neighbors currently use
-    the most distinct colors (saturation), breaking ties by degree.
+def dsatur_color_masks(nodes: int, adj: Sequence[int]) -> RankColoring:
+    """Brelaz's DSATUR: always color the node whose neighbors currently
+    use the most distinct colors (saturation), breaking ties by degree.
 
-    Runs over the dense adjacency view.  Saturation sets are color
-    masks; the selection maximum is taken over
-    ``(popcount(sat), degree, index)``, which equals the reference key
-    ``(len(sat), degree, str(node))`` because dense indices are assigned
-    in ``str`` order and node strings are pairwise distinct.
+    Colors the ranks of ``nodes``; ``adj[i]`` is rank ``i``'s neighbor
+    mask, read only within ``nodes``.  Saturation sets are color masks;
+    the selection maximum is taken over ``(popcount(sat), degree,
+    rank)``, which equals the reference key ``(len(sat), degree,
+    str(node))`` whenever ranks are assigned in ``str`` order and node
+    strings are pairwise distinct.
     """
-    view = graph.dense_view()
-    nodes = view.nodes
-    masks = view.masks
-    k = len(nodes)
-    deg = [popcount(m) for m in masks]
-    sat = [0] * k
-    sat_cnt = [0] * k
-    uncolored = set(range(k))
-    coloring: Coloring = {}
+    nbrs = {i: adj[i] & nodes for i in bit_indices(nodes)}
+    deg = {i: popcount(m) for i, m in nbrs.items()}
+    sat = dict.fromkeys(nbrs, 0)
+    sat_cnt = dict.fromkeys(nbrs, 0)
+    uncolored = set(nbrs)
+    uncolored_mask = nodes
+    coloring: RankColoring = {}
     while uncolored:
         i = max(uncolored, key=lambda x: (sat_cnt[x], deg[x], x))
-        color = _lowest_clear_bit(sat[i])
-        coloring[nodes[i]] = color
+        color = lowest_clear_bit(sat[i])
+        coloring[i] = color
         uncolored.discard(i)
+        uncolored_mask ^= 1 << i
         bit = 1 << color
-        m = masks[i]
+        m = nbrs[i] & uncolored_mask
         while m:
             low = m & -m
             m ^= low
             nbr = low.bit_length() - 1
-            if nbr in uncolored and not (sat[nbr] & bit):
+            if not (sat[nbr] & bit):
                 sat[nbr] |= bit
                 sat_cnt[nbr] += 1
     return coloring
+
+
+def _color_view(
+    graph: UndirectedGraph, kernel: Callable[[int, Sequence[int]], RankColoring]
+) -> Coloring:
+    """Run a mask kernel on the graph's dense view, keyed back by node."""
+    view = graph.dense_view()
+    nodes = view.nodes
+    ranks = kernel((1 << len(nodes)) - 1, view.masks)
+    return {nodes[i]: color for i, color in ranks.items()}
+
+
+def dsatur_color(graph: UndirectedGraph) -> Coloring:
+    """:func:`dsatur_color_masks` on the graph's dense view."""
+    return _color_view(graph, dsatur_color_masks)
 
 
 def simplify_color_reference(graph: UndirectedGraph) -> Coloring:
@@ -144,49 +140,48 @@ def simplify_color_reference(graph: UndirectedGraph) -> Coloring:
     return coloring
 
 
-def simplify_color(graph: UndirectedGraph) -> Coloring:
+def simplify_color_masks(nodes: int, adj: Sequence[int]) -> RankColoring:
     """Chaitin-style simplify-select.
 
     Repeatedly remove a minimum-degree node onto a stack, then color in
-    reverse removal order with the smallest available color.  Runs over
-    the dense adjacency view: degrees decrement in place instead of
-    mutating a graph copy; the removal minimum ``(degree, index)`` equals
-    the reference key ``(degree, str(node))`` by the dense-index order
-    invariant.
+    reverse removal order with the smallest available color.  Colors the
+    ranks of ``nodes`` with ``adj`` read as in :func:`dsatur_color_masks`:
+    degrees decrement in place instead of mutating a graph copy, and the
+    removal minimum ``(degree, rank)`` equals the reference key
+    ``(degree, str(node))`` under the same rank-order invariant.
     """
-    view = graph.dense_view()
-    nodes = view.nodes
-    masks = view.masks
-    k = len(nodes)
-    deg = [popcount(m) for m in masks]
-    remaining = set(range(k))
-    removed_mask = 0
+    nbrs = {i: adj[i] & nodes for i in bit_indices(nodes)}
+    deg = {i: popcount(m) for i, m in nbrs.items()}
+    remaining = set(nbrs)
+    remaining_mask = nodes
     stack: List[int] = []
     while remaining:
         i = min(remaining, key=lambda x: (deg[x], x))
         stack.append(i)
         remaining.discard(i)
-        removed_mask |= 1 << i
-        m = masks[i] & ~removed_mask
+        remaining_mask ^= 1 << i
+        m = nbrs[i] & remaining_mask
         while m:
             low = m & -m
             m ^= low
             deg[low.bit_length() - 1] -= 1
-    colarr = [0] * k
     colored_mask = 0
-    coloring: Coloring = {}
+    coloring: RankColoring = {}
     for i in reversed(stack):
         used = 0
-        m = masks[i] & colored_mask
+        m = nbrs[i] & colored_mask
         while m:
             low = m & -m
             m ^= low
-            used |= 1 << colarr[low.bit_length() - 1]
-        color = _lowest_clear_bit(used)
-        colarr[i] = color
+            used |= 1 << coloring[low.bit_length() - 1]
+        coloring[i] = lowest_clear_bit(used)
         colored_mask |= 1 << i
-        coloring[nodes[i]] = color
     return coloring
+
+
+def simplify_color(graph: UndirectedGraph) -> Coloring:
+    """:func:`simplify_color_masks` on the graph's dense view."""
+    return _color_view(graph, simplify_color_masks)
 
 
 def num_colors(coloring: Coloring) -> int:
@@ -198,6 +193,13 @@ def min_color(graph: UndirectedGraph) -> Coloring:
     """Best of DSATUR and simplify-select; deterministic."""
     a = dsatur_color(graph)
     b = simplify_color(graph)
+    return a if num_colors(a) <= num_colors(b) else b
+
+
+def min_color_masks(nodes: int, adj: Sequence[int]) -> RankColoring:
+    """:func:`min_color` on rank masks."""
+    a = dsatur_color_masks(nodes, adj)
+    b = simplify_color_masks(nodes, adj)
     return a if num_colors(a) <= num_colors(b) else b
 
 

@@ -1,4 +1,5 @@
-"""A small deterministic undirected graph.
+"""A small deterministic undirected graph, and the bit helpers the mask
+kernels share.
 
 Nodes are arbitrary hashable values.  Iteration orders are made
 deterministic by sorting on ``str(node)``, so colorings and the allocation
@@ -15,15 +16,17 @@ existing node or edge is free), and every cached list is returned as-is
 :meth:`dense_view` exposes the same adjacency as a
 :class:`DenseAdjacency`: nodes renumbered to contiguous ints (in the
 sorted-node order, so bit order matches ``str`` order) with one big-int
-neighbor bitmask per node.  The dense analysis kernels
-(:mod:`repro.core.dense`) build interference graphs directly from such
-masks via :func:`graph_from_dense` and the coloring heuristics walk the
-view instead of per-node Python sets.
+neighbor bitmask per node, which the coloring heuristics walk instead of
+per-node Python sets.  The production paths build no graph at all: the
+dense analysis kernels (:mod:`repro.core.dense`) keep each interference
+graph as neighbor masks over register ranks
+(:class:`~repro.igraph.interference.InterferenceMasks`), and the Figure-7
+merge and the Chaitin baseline color those masks directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple
 
 Node = Hashable
 
@@ -42,6 +45,12 @@ def bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def lowest_clear_bit(mask: int) -> int:
+    """Index of the lowest zero bit: the first color a used-color mask
+    leaves free."""
+    return (~mask & (mask + 1)).bit_length() - 1
 
 
 class DenseAdjacency:
@@ -203,51 +212,6 @@ class UndirectedGraph:
             g._adj[node] = set(nbrs)
         return g
 
-    def subgraph(self, keep: Iterable[Node]) -> "UndirectedGraph":
-        keep_set = set(keep)
-        g = UndirectedGraph()
-        for node in keep_set:
-            if node in self._adj:
-                g.add_node(node)
-        for node in keep_set:
-            for other in self._adj.get(node, ()):
-                if other in keep_set:
-                    g.add_edge(node, other)
-        return g
-
     def __iter__(self) -> Iterator[Node]:
         return iter(self.nodes())
 
-
-def graph_from_dense(
-    universe: Sequence[Node], node_mask: int, adj: Sequence[int]
-) -> UndirectedGraph:
-    """Build a graph from dense-index adjacency bitmasks.
-
-    ``universe`` is the full sorted node tuple of the bit-space; the graph
-    contains the nodes whose bits are set in ``node_mask``, with
-    ``adj[i]`` the neighbor mask of ``universe[i]`` (required symmetric
-    and confined to ``node_mask`` -- this is not re-checked).  The sorted
-    node list and the dense view are pre-warmed, so downstream consumers
-    never pay a re-sort.
-    """
-    g = UndirectedGraph()
-    nodes: List[Node] = []
-    masks: List[int] = []
-    m = node_mask
-    while m:
-        low = m & -m
-        i = low.bit_length() - 1
-        m ^= low
-        node = universe[i]
-        nodes.append(node)
-        masks.append(adj[i])
-        g._adj[node] = {universe[b] for b in bit_indices(adj[i])}
-    g._touch()
-    g._sync_caches()
-    g._nodes_cache = nodes
-    if node_mask == (1 << len(universe)) - 1:
-        # Bit-space == node set: the universe masks are the dense view.
-        index = {n: i for i, n in enumerate(nodes)}
-        g._dense_cache = DenseAdjacency(nodes, index, masks)
-    return g

@@ -17,44 +17,110 @@ two ranges can overlap inside an NSR while being live across different
 CSBs.  The merge step (:mod:`repro.igraph.merge`) resolves those conflicts
 too, since the safety requirement is a valid GIG coloring with boundary
 nodes confined to private colors.
+
+Analyses built by the dense kernels keep the three graphs as
+:class:`InterferenceMasks` only (see
+:func:`repro.core.dense.build_interference_dense`); the set-based
+:func:`build_interference` path builds :class:`UndirectedGraph` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.cfg.liveness import Liveness, co_live_pairs
 from repro.cfg.nsr import NsrInfo
-from repro.igraph.graph import UndirectedGraph
+from repro.igraph.graph import UndirectedGraph, bit_indices
 from repro.ir.operands import Reg
 
 
 @dataclass
+class InterferenceMasks:
+    """The GIG/BIG/IIGs as neighbor masks over register ranks.
+
+    What :func:`repro.core.dense.build_interference_dense` keeps instead
+    of graph objects.  Rank ``i`` is ``regs[i]``, the
+    analysis' :class:`~repro.core.dense.DenseMap` numbering, so ascending
+    bit order is ``str`` order.
+
+    Attributes:
+        regs: every register of the program, by rank; all are GIG nodes.
+        gig: per rank, the GIG neighbor mask.
+        big: per rank, the BIG neighbor mask (zero off the boundary).
+        boundary: the mask of boundary ranks, the BIG's nodes.
+        regions: per NSR id, the mask of its internal ranks, the nodes of
+            that IIG; an IIG's edges are the GIG's within its mask.
+    """
+
+    regs: Tuple[Reg, ...]
+    gig: List[int]
+    big: List[int]
+    boundary: int
+    regions: List[int]
+
+    def graph(self, nodes: int, adj: List[int]) -> UndirectedGraph:
+        """The graph on the ranks of ``nodes`` with ``adj`` restricted
+        to them."""
+        regs = self.regs
+        g = UndirectedGraph()
+        for i in bit_indices(nodes):
+            g.add_node(regs[i])
+            for j in bit_indices(adj[i] & nodes & ~((2 << i) - 1)):
+                g.add_edge(regs[i], regs[j])
+        return g
+
+
 class InterferenceGraphs:
-    """The GIG/BIG/IIG family for one thread."""
+    """The GIG/BIG/IIG family for one thread.
 
-    gig: UndirectedGraph
-    big: UndirectedGraph
-    iigs: Dict[int, UndirectedGraph]
-    boundary: FrozenSet[Reg]
-    internal: FrozenSet[Reg]
+    The set-based :func:`build_interference` hands over graph objects.
+    The dense construction hands over only its :class:`InterferenceMasks`
+    as ``masks``, the one representation the production paths read;
+    ``gig``, ``big`` and ``iigs`` are then built from the masks on first
+    read, for the analysis digest and the tests.  Two threads racing on
+    a first read each build equal graphs and the last write wins, like
+    the analysis' other lazy memos.
+    """
 
-    def cross_edges(self) -> List[Tuple[Reg, Reg]]:
-        """GIG edges not represented in the BIG or in any IIG.
+    #: The dense construction's payload; ``None`` on reference-built
+    #: graphs and on analyses pickled before the payload existed.
+    masks: Optional[InterferenceMasks] = None
 
-        These are exactly the edges the region-merge step must check:
-        boundary-internal edges plus boundary-boundary edges that exist
-        only inside NSRs.
-        """
-        out: List[Tuple[Reg, Reg]] = []
-        for a, b in self.gig.edges():
-            if self.big.has_edge(a, b):
-                continue
-            if any(iig.has_edge(a, b) for iig in self.iigs.values()):
-                continue
-            out.append((a, b))
-        return out
+    def __init__(
+        self,
+        boundary: FrozenSet[Reg],
+        internal: FrozenSet[Reg],
+        *,
+        masks: Optional[InterferenceMasks] = None,
+        gig: Optional[UndirectedGraph] = None,
+        big: Optional[UndirectedGraph] = None,
+        iigs: Optional[Dict[int, UndirectedGraph]] = None,
+    ) -> None:
+        self.boundary = boundary
+        self.internal = internal
+        if masks is not None:
+            self.masks = masks
+        else:
+            self.gig, self.big, self.iigs = gig, big, iigs
+
+    @cached_property
+    def gig(self) -> UndirectedGraph:
+        m = self.masks
+        return m.graph((1 << len(m.regs)) - 1, m.gig)
+
+    @cached_property
+    def big(self) -> UndirectedGraph:
+        m = self.masks
+        return m.graph(m.boundary, m.big)
+
+    @cached_property
+    def iigs(self) -> Dict[int, UndirectedGraph]:
+        m = self.masks
+        return {
+            rid: m.graph(nodes, m.gig) for rid, nodes in enumerate(m.regions)
+        }
 
 
 def build_interference(liveness: Liveness, nsr: NsrInfo) -> InterferenceGraphs:
@@ -107,9 +173,5 @@ def build_interference(liveness: Liveness, nsr: NsrInfo) -> InterferenceGraphs:
             iigs[rid_a].add_edge(a, b)
 
     return InterferenceGraphs(
-        gig=gig,
-        big=big,
-        iigs=iigs,
-        boundary=nsr.boundary,
-        internal=nsr.internal,
+        nsr.boundary, nsr.internal, gig=gig, big=big, iigs=iigs
     )

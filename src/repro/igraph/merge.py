@@ -21,20 +21,36 @@ much cheaper than coloring the whole GIG -- and then merges the colorings:
 
 The result is a valid GIG coloring in which every boundary node's color is
 below ``MaxPR`` -- exactly the paper's "coloring scheme" conditions 1-3.
+
+:func:`merge_region_colorings` runs on the
+:class:`~repro.igraph.interference.InterferenceMasks` of a dense-built
+analysis.  Each color class
+is a member mask over register ranks, so "a neighbor of ``i`` uses
+``c``" is ``gig[i] & members[c]``, and the conflict-edge pass finds the
+next clash of ``a`` as the lowest bit of ``gig[a] & members[color[a]]``
+above the last neighbor it visited.  The BIG and each IIG are colored by
+the mask kernels (:func:`~repro.igraph.coloring.min_color_masks`) on
+their node masks; ranks follow ``str`` order, so every tie-break, the
+coloring (insertion order included), ``MaxPR`` and ``MaxR`` equal the
+set-based twin's, :func:`merge_region_colorings_reference`, which walks
+graph objects and is called by name: by the differential tests, and by
+:func:`~repro.core.bounds.estimate_bounds` for graphs without masks
+(reference-built analyses).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.igraph.coloring import (
     Coloring,
-    first_free_color,
+    RankColoring,
     min_color,
+    min_color_masks,
     num_colors,
 )
-from repro.igraph.graph import Node, UndirectedGraph
+from repro.igraph.graph import Node, bit_indices
 from repro.igraph.interference import InterferenceGraphs
 
 
@@ -55,7 +71,129 @@ class MergeResult:
 
 
 def merge_region_colorings(graphs: InterferenceGraphs) -> MergeResult:
-    """Run the Figure-7 estimation over a thread's interference graphs."""
+    """Run the Figure-7 estimation on ``graphs.masks``, the payload of
+    a dense-built analysis (see the module docstring)."""
+    im = graphs.masks
+    regs = im.regs
+    adj = im.gig
+    boundary = im.boundary
+
+    color: RankColoring = min_color_masks(boundary, im.big)
+    max_pr = num_colors(color)
+    max_r = max_pr
+    for nodes in im.regions:
+        iig = min_color_masks(nodes, adj)
+        max_r = max(max_r, num_colors(iig))
+        color.update(iig)
+    # Ranks isolated from every region graph take color 0, in rank order.
+    for i in range(len(regs)):
+        color.setdefault(i, 0)
+    if color and max_r == 0:
+        max_r = 1
+    members = [0] * max_r
+    for i, c in color.items():
+        members[c] |= 1 << i
+
+    def palette_limit(i: int) -> int:
+        return max_pr if boundary >> i & 1 else max_r
+
+    def move(i: int, c: int) -> None:
+        bit = 1 << i
+        members[color[i]] ^= bit
+        members[c] |= bit
+        color[i] = c
+
+    def free_color(i: int) -> int:
+        """First palette color other than ``i``'s own that no GIG
+        neighbor uses; -1 when there is none."""
+        nbrs = adj[i]
+        own = color[i]
+        for c in range(palette_limit(i)):
+            if c != own and not nbrs & members[c]:
+                return c
+        return -1
+
+    def try_recolor(i: int) -> bool:
+        c = free_color(i)
+        if c < 0:
+            return False
+        move(i, c)
+        return True
+
+    def try_recolor_neighbors(i: int) -> bool:
+        nbrs = adj[i]
+        own = color[i]
+        for c in range(palette_limit(i)):
+            blockers = nbrs & members[c]
+            if c == own or not blockers:
+                continue
+            moved: List[Tuple[int, int]] = []
+            for b in bit_indices(blockers):
+                choice = free_color(b)
+                if choice < 0:
+                    break
+                moved.append((b, color[b]))
+                move(b, choice)
+            else:
+                if not nbrs & members[c]:
+                    move(i, c)
+                    return True
+            for b, old in reversed(moved):
+                move(b, old)
+        return False
+
+    def widen_for(i: int) -> None:
+        nonlocal max_pr, max_r
+        if boundary >> i & 1:
+            # A new private class at max_pr: every shared class moves up.
+            members[color[i]] ^= 1 << i
+            members.insert(max_pr, 1 << i)
+            for j, c in color.items():
+                if c >= max_pr:
+                    color[j] = c + 1
+            color[i] = max_pr
+            max_pr += 1
+            max_r = max(max_r + 1, max_pr)
+        else:
+            members.append(0)
+            move(i, max_r)
+            max_r += 1
+
+    changed = True
+    passes = 0
+    while changed:
+        passes += 1
+        if passes > len(color) + 10:
+            raise AssertionError("region merge failed to converge")
+        changed = False
+        for a in range(len(regs)):
+            above = ~((2 << a) - 1)
+            while True:
+                clash = adj[a] & members[color[a]] & above
+                if not clash:
+                    break
+                low = clash & -clash
+                above = ~((low << 1) - 1)
+                b = low.bit_length() - 1
+                changed = True
+                first, second = a, b
+                if boundary >> a & 1 and not boundary >> b & 1:
+                    first, second = b, a
+                if try_recolor(first) or try_recolor(second):
+                    continue
+                if try_recolor_neighbors(first) or try_recolor_neighbors(second):
+                    continue
+                widen_for(first)
+
+    return MergeResult(
+        coloring={regs[i]: c for i, c in color.items()},
+        max_pr=max_pr,
+        max_r=max_r,
+    )
+
+
+def merge_region_colorings_reference(graphs: InterferenceGraphs) -> MergeResult:
+    """Set-based :func:`merge_region_colorings` over graph objects."""
     big_coloring = min_color(graphs.big)
     max_pr = max(num_colors(big_coloring), 0)
 

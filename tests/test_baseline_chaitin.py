@@ -1,17 +1,32 @@
-"""Unit tests for the Chaitin baseline allocator with spilling."""
+"""Unit tests for the Chaitin baseline allocator with spilling.
+
+The production graph build and simplify/select run on masks; the
+set-based versions they replaced are kept below, verbatim, as the
+oracle every suite kernel is spilled against.
+"""
+
+from typing import Dict, List, Set, Tuple
 
 import pytest
 
-from repro.baseline.chaitin import chaitin_allocate
+from repro.baseline import chaitin
+from repro.baseline.chaitin import chaitin_allocate, spill_until_colorable
 from repro.baseline.single_thread import (
     allocate_pu_baseline,
     single_thread_register_count,
 )
+from repro.cfg.liveness import co_live_pairs, compute_liveness
+from repro.core.analysis import analyze_thread
+from repro.core.cache import scoped
+from repro.core.pipeline import allocate_programs
 from repro.errors import AllocationError
+from repro.igraph.graph import UndirectedGraph
 from repro.ir.opcodes import Opcode
+from repro.ir.operands import Reg
 from repro.ir.parser import parse_program
+from repro.ir.printer import format_program
 from repro.sim.run import outputs_match, run_reference, run_threads
-from repro.suite.registry import load
+from repro.suite.registry import BENCHMARKS, load
 from tests.conftest import MINI_KERNEL
 
 
@@ -91,3 +106,100 @@ def test_pu_baseline_spill_areas_disjoint():
 def test_standalone_register_count_on_suite():
     assert single_thread_register_count(load("frag")) >= 6
     assert single_thread_register_count(load("md5")) > 32
+
+
+# ---------------------------------------------------------------------------
+# The set-based oracle: co_live_pairs into an UndirectedGraph, and
+# simplify/select over a mutated graph copy.
+
+
+def _build_graph(program):
+    liveness = compute_liveness(program)
+    graph = UndirectedGraph()
+    for instr in program.instrs:
+        for reg in instr.regs:
+            graph.add_node(reg)
+    for a, b in co_live_pairs(liveness):
+        graph.add_edge(a, b)
+    return graph
+
+
+def _simplify_select(
+    graph: UndirectedGraph, k: int, occurrences: Dict[Reg, int]
+) -> Tuple[Dict[Reg, int], List[Reg]]:
+    """One coloring attempt: returns (coloring, actual_spills)."""
+    work = graph.copy()
+    remaining: Set[Reg] = set(work.nodes())
+    stack: List[Tuple[Reg, bool]] = []  # (node, is_potential_spill)
+    while remaining:
+        trivial = [n for n in remaining if work.degree(n) < k]
+        if trivial:
+            node = min(trivial, key=str)
+            stack.append((node, False))
+        else:
+            node = min(
+                remaining,
+                key=lambda n: (
+                    occurrences.get(n, 0) / max(work.degree(n), 1),
+                    str(n),
+                ),
+            )
+            stack.append((node, True))
+        work.remove_node(node)
+        remaining.discard(node)
+
+    coloring: Dict[Reg, int] = {}
+    spills: List[Reg] = []
+    for node, potential in reversed(stack):
+        used = {
+            coloring[nbr]
+            for nbr in graph.neighbor_set(node)
+            if nbr in coloring
+        }
+        color = next((c for c in range(k) if c not in used), None)
+        if color is None:
+            if not potential:
+                raise AllocationError(
+                    f"non-spill node {node} failed to color (k={k})"
+                )
+            spills.append(node)
+        else:
+            coloring[node] = color
+    return coloring, spills
+
+
+def spill_outcome(program, k):
+    """Everything ``spill_until_colorable`` decides, or its error."""
+    try:
+        spilled, coloring, stats = spill_until_colorable(program, k)
+    except AllocationError as exc:
+        return f"AllocationError: {exc}"
+    return format_program(spilled), list(coloring.items()), stats
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6, 8, 16, 32])
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_mask_chaitin_matches_set_based_oracle(name, k, monkeypatch):
+    got = spill_outcome(load(name), k)
+    monkeypatch.setattr(chaitin, "_build_graph", _build_graph)
+    monkeypatch.setattr(chaitin, "_simplify_select", _simplify_select)
+    assert got == spill_outcome(load(name), k)
+
+
+def test_no_graph_objects_on_cold_allocation_or_baseline(monkeypatch):
+    built = []
+    init = UndirectedGraph.__init__
+
+    def counting_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(UndirectedGraph, "__init__", counting_init)
+    programs = [parse_program(MINI_KERNEL, "cold"), load("crc")]
+    with scoped():
+        allocate_programs(programs, nreg=64)
+    allocate_pu_baseline(programs, nreg=32)
+    assert built == []
+    # The counter is live: reading an analysis' graphs builds them.
+    analyze_thread(programs[0]).graphs.gig
+    assert built

@@ -9,9 +9,12 @@ field by field over every suite kernel, over randomly generated
 programs (reusing the generators of ``tests/test_properties.py``), for
 both coloring heuristics, for whole-pipeline allocations, and at the
 allocator-query level (``conflict_profile`` / ``conflicts_any`` vs the
-pointwise reference probes).  The reference side is always called by
-name: ``analyze_thread_reference``, ``compute_liveness_reference``,
-``dsatur_color_reference`` and ``simplify_color_reference``.
+pointwise reference probes).  The Figure-7 merge on the interference
+masks is compared with its set-based twin over the suite, the
+``conftest`` fixtures and both generated-program strategies.  The
+reference side is always called by name: ``analyze_thread_reference``,
+``compute_liveness_reference``, ``dsatur_color_reference``,
+``simplify_color_reference`` and ``merge_region_colorings_reference``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import pytest
 
 import repro
 from repro.cfg.liveness import compute_liveness, compute_liveness_reference
+from repro.core import bounds as bounds_mod
 from repro.core import cache as cache_mod
 from repro.core.analysis import (
     analyze_thread,
@@ -44,6 +48,12 @@ from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
 from repro.ir.printer import format_program
 from repro.suite.registry import BENCHMARKS, load
+from tests.conftest import FIG3_T1, FIG3_T2, MINI_KERNEL, STRAIGHT
+from tests.test_igraph_merge_edges import assert_merges_identical
+
+
+def _no_mask_merge(graphs):
+    raise AssertionError("the mask merge ran in the reference arm")
 
 
 @contextlib.contextmanager
@@ -52,7 +62,9 @@ def reference_kernels():
 
     The analysis cache's ``analyze_thread`` and both colorings are
     swapped for their ``*_reference`` twins around a fresh cache, so no
-    dense-built analysis from an earlier test can be reused.
+    dense-built analysis from an earlier test can be reused.  Bounds
+    must then take ``merge_region_colorings_reference``: the mask merge
+    fails the test if it runs.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cache_mod, "analyze_thread", analyze_thread_reference)
@@ -62,6 +74,7 @@ def reference_kernels():
         patch.setattr(
             coloring, "simplify_color", coloring.simplify_color_reference
         )
+        patch.setattr(bounds_mod, "merge_region_colorings", _no_mask_merge)
         with scoped() as cache:
             yield cache
 
@@ -213,6 +226,17 @@ def test_suite_kernel_analyses_identical(name):
     assert da.dense is not None and ra.dense is None
     assert_analyses_identical(ra, da)
     assert_colorings_identical(da.graphs)
+    assert_merges_identical(da.graphs, ra.graphs)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [STRAIGHT, FIG3_T1, FIG3_T2, MINI_KERNEL],
+    ids=["straight", "fig3_t1", "fig3_t2", "mini_kernel"],
+)
+def test_fixture_merges_identical(text):
+    ra, da = both_analyses(parse_program(text, "fixture"))
+    assert_merges_identical(da.graphs, ra.graphs)
 
 
 #: Kernels whose ``allocperf.build_grid(nthd=4)`` points (each kernel's
@@ -246,8 +270,13 @@ def test_bounds_and_allocation_identical(name, nthd):
         rb = cache.bounds(program)
         routs = allocate_all(budgets)
     # Every analysis in the reference arm came from the set-based
-    # kernels, so the comparison below cannot be dense against dense.
-    assert all(a.dense is None for o in routs for a in o.analyses)
+    # kernels, so the comparison below cannot be dense against dense;
+    # without interference masks, its bounds took the reference merge.
+    assert all(
+        a.dense is None and a.graphs.masks is None
+        for o in routs
+        for a in o.analyses
+    )
     assert list(rb.coloring.items()) == list(db.coloring.items())
     assert (rb.min_pr, rb.max_pr, rb.min_r, rb.max_r) == (
         db.min_pr,
@@ -369,6 +398,7 @@ from tests.test_properties import (  # noqa: E402
 def test_generated_straightline_identical(text):
     ra, da = both_analyses(parse_program(text, "gen"))
     assert_analyses_identical(ra, da)
+    assert_merges_identical(da.graphs, ra.graphs)
 
 
 @SETTINGS
@@ -378,6 +408,7 @@ def test_generated_branching_identical(text):
     ra, da = both_analyses(program)
     assert_analyses_identical(ra, da)
     assert_colorings_identical(da.graphs)
+    assert_merges_identical(da.graphs, ra.graphs)
     with reference_kernels():
         rb = estimate_bounds(ra)
     db = estimate_bounds(da)

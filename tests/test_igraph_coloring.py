@@ -5,7 +5,6 @@ import pytest
 from repro.igraph.coloring import (
     dsatur_color,
     first_free_color,
-    greedy_color,
     min_color,
     num_colors,
     simplify_color,
@@ -56,13 +55,6 @@ def test_odd_cycle_three_colors(colorer):
     c = colorer(g)
     validate_coloring(g, c)
     assert num_colors(c) == 3
-
-
-def test_greedy_respects_fixed():
-    g = clique(3)
-    c = greedy_color(g, fixed={"n0": 5})
-    validate_coloring(g, c)
-    assert c["n0"] == 5
 
 
 def test_empty_graph():

@@ -50,14 +50,6 @@ def test_copy_is_independent():
     assert "a" not in h
 
 
-def test_subgraph():
-    g = g_with(("a", "b"), ("b", "c"), ("c", "d"))
-    sub = g.subgraph(["a", "b", "c"])
-    assert sub.has_edge("a", "b") and sub.has_edge("b", "c")
-    assert "d" not in sub
-    assert sub.n_edges() == 2
-
-
 def test_cached_views_track_mutation():
     g = g_with(("a", "b"))
     assert g.nodes() == ["a", "b"]

@@ -14,9 +14,11 @@ from repro import store
 from repro.core.analysis import analyze_thread
 from repro.core.bounds import estimate_bounds
 from repro.core.cache import AnalysisCache
+from repro.igraph.interference import InterferenceGraphs
 from repro.ir.parser import parse_program
 from repro.obs import events, metrics
 from repro.service.store import ResultStore
+from repro.suite.registry import load
 from tests.conftest import FIG3_T1, FIG3_T2, MINI_KERNEL
 from tests.test_service import hammer_threads
 
@@ -143,6 +145,36 @@ def test_existing_format_entries_still_load(tmp_path):
     AnalysisCache(cache_dir=fresh).bounds(program)
     pair = pickle.loads((fresh / f"{program.fingerprint()}.pkl").read_bytes())
     assert type(pair) is tuple and pair[1] == bounds
+
+
+def test_entries_without_interference_masks_take_the_reference_merge(tmp_path):
+    """An analysis pickled before the interference masks existed carries
+    the dense index but graph objects and no masks; written by hand in
+    that shape, with its bounds still to compute, it loads and its
+    bounds equal a fresh analysis's."""
+    program = load("crc")
+    analysis = analyze_thread(program)
+    graphs = analysis.graphs
+    unmasked = InterferenceGraphs.__new__(InterferenceGraphs)
+    unmasked.__dict__.update(
+        gig=graphs.gig,
+        big=graphs.big,
+        iigs=graphs.iigs,
+        boundary=graphs.boundary,
+        internal=graphs.internal,
+    )
+    analysis.graphs = unmasked
+    (tmp_path / f"{program.fingerprint()}.pkl").write_bytes(
+        pickle.dumps((analysis, None), protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    cache = AnalysisCache(cache_dir=tmp_path)
+    got = cache.bounds(load("crc"))
+    assert cache.stats.disk_hits == 1 and cache.stats.misses == 0
+    assert cache.analyze(program).dense is not None
+    assert cache.analyze(program).graphs.masks is None
+    fresh = estimate_bounds(analyze_thread(program))
+    assert got == fresh
+    assert list(got.coloring.items()) == list(fresh.coloring.items())
 
 
 @pytest.mark.parametrize("doc", [[], "x", 1, None])
