@@ -3,41 +3,25 @@
 from __future__ import annotations
 
 import pathlib
-import time
 from typing import Any
+
+from repro.harness.trend import record
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 
-def publish(name: str, text: str, data: Any = None) -> None:
-    """Print a reproduced artifact and persist it under benchmarks/out/.
+def publish(name: str, text: str, data: Any) -> None:
+    """Print a reproduced artifact and keep it under benchmarks/out/.
 
-    ``data``, when given, is additionally written as machine-readable
-    ``benchmarks/out/BENCH_<name>.json`` (see
-    :func:`repro.obs.export.bench_snapshot`) so each benchmark run leaves
-    a diffable trajectory snapshot next to the text artifact -- and its
-    watched metrics are appended as one row to the run ledger
-    (``benchmarks/out/ledger.jsonl``, git-ignored), feeding the
-    ``repro bench trend`` regression sentinel.
+    :func:`repro.harness.trend.record` writes the text as
+    ``<name>.txt``, ``data`` as machine-readable ``BENCH_<name>.json``
+    (a diffable trajectory snapshot) and, for a watched bench, one row
+    to the run ledger (``benchmarks/out/ledger.jsonl``, git-ignored),
+    feeding the ``repro bench trend`` regression sentinel.
     """
-    OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / f"{name}.txt").write_text(text + "\n")
-    if data is not None:
-        from repro.obs.export import bench_snapshot, to_jsonable
-
-        bench_snapshot(name, data, OUT_DIR)
-        _ledger_append(name, to_jsonable(data))
+    record(
+        name, data, text=text, out_dir=OUT_DIR,
+        ledger_path=OUT_DIR / "ledger.jsonl",
+    )
     print()
     print(text)
-
-
-def _ledger_append(name: str, data: Any) -> None:
-    """Append this run's watched metrics to the run ledger (best effort)."""
-    from repro.harness.trend import watched_from_bench
-    from repro.obs import ledger
-
-    metrics = watched_from_bench(name, data)
-    if not metrics:
-        return
-    row = ledger.make_row(name, metrics, ts=time.time())
-    ledger.append(row, OUT_DIR / "ledger.jsonl")

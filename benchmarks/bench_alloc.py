@@ -4,7 +4,7 @@ Run with::
 
     pytest benchmarks/bench_alloc.py --benchmark-only -s
 
-Every suite kernel is allocated at ``nthd=4`` identical threads under
+Every suite kernel is allocated at 4 identical threads under
 budgets spanning its own bounds (ceiling / midpoint / near-floor, see
 :mod:`repro.harness.allocperf`), twice over: with a cold analysis
 cache and with the warmed cache.  A third, descent, section answers
@@ -23,12 +23,12 @@ from repro.harness.allocperf import render_alloc, run_alloc_bench
 
 
 def test_alloc(benchmark):
-    report = benchmark.pedantic(run_alloc_bench, rounds=1, iterations=1)
-    assert report.identical, "allocation summaries diverged across passes"
-    assert report.descent_identical, (
+    data = benchmark.pedantic(run_alloc_bench, rounds=1, iterations=1)
+    assert data["identical"], "allocation summaries diverged across passes"
+    assert data["descent_identical"], (
         "shared-descent summaries diverged from the per-budget baseline"
     )
-    assert len(report.points) >= len(report.kernels)
+    assert data["grid_points"] >= len(data["kernels"])
     # This ratio compressed when the dense-analysis kernels made the
     # cold pass ~2.7x faster: the warm win is capped by how much of a
     # point is analysis, and on the full suite (allocation-heavy
@@ -36,8 +36,8 @@ def test_alloc(benchmark):
     # Gate at collapse-detector levels; the trend sentinel (and the CI
     # smoke job's 2x gate on the analysis-heavy crc/md5/url subset)
     # watches the magnitude.
-    assert report.warm_speedup >= 1.5
+    assert data["warm_speedup"] >= 1.5
     # One shared descent vs a fresh allocation per budget query; the
     # full-suite ladder lands around 6x locally, gate at 3x.
-    assert report.descent_speedup >= 3.0
-    publish("alloc", render_alloc(report), data=report.to_dict())
+    assert data["descent_speedup"] >= 3.0
+    publish("alloc", render_alloc(data), data=data)

@@ -18,11 +18,9 @@ from repro.harness.analysisperf import render_analysis, run_analysis_bench
 
 
 def test_analysis(benchmark):
-    report = benchmark.pedantic(
-        lambda: run_analysis_bench(), rounds=1, iterations=1
-    )
-    assert report.digests_identical, "analysis digests diverged"
+    data = benchmark.pedantic(run_analysis_bench, rounds=1, iterations=1)
+    assert data["digests_identical"], "analysis digests diverged"
     # The CI smoke gate (3 kernels) is 2x; the full suite on an unloaded
     # machine lands near 5x for the analysis stage.
-    assert report.analysis_speedup >= 3.0
-    publish("analysis", render_analysis(report), data=report.to_dict())
+    assert data["analysis_speedup"] >= 3.0
+    publish("analysis", render_analysis(data), data=data)

@@ -13,22 +13,15 @@ between engines -- speed never comes at the cost of fidelity.
 """
 
 from benchmarks._util import publish
-from repro.harness.perf import render_perf, run_perf, summarize_perf
+from repro.harness.perf import render_perf, run_perf
 
 
 def test_perf(benchmark):
-    rows = benchmark.pedantic(
-        lambda: run_perf(packets=64, repeats=3), rounds=1, iterations=1
-    )
-    assert len(rows) == 11
-    for r in rows:
-        assert r.stats_match, f"{r.name}: engines diverged"
-    summary = summarize_perf(rows)
+    data = benchmark.pedantic(run_perf, rounds=1, iterations=1)
+    assert len(data["rows"]) == 11
+    for r in data["rows"]:
+        assert r["stats_match"], f"{r['name']}: engines diverged"
     # The CI smoke gate is 2x; the full suite on an unloaded machine
     # lands well above 5x in aggregate.
-    assert summary["speedup"] >= 2.0
-    publish(
-        "perf",
-        render_perf(rows),
-        data={"rows": [r.to_dict() for r in rows], "summary": summary},
-    )
+    assert data["summary"]["speedup"] >= 2.0
+    publish("perf", render_perf(data), data=data)

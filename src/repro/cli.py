@@ -264,50 +264,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_bench_experiment(args: argparse.Namespace):
-    """Run one bench experiment; returns ``(rendered text, data)`` where
-    ``data`` matches the shape of the bench's ``BENCH_*.json`` payload
-    (what the ledger's watched-metric extraction understands)."""
-    if args.experiment == "table1":
-        from repro.harness.table1 import render_table1, run_table1
-
-        rows = run_table1()
-        return render_table1(rows), [r.to_dict() for r in rows]
-    if args.experiment == "table2":
-        from repro.harness.table2 import render_table2, run_table2
-
-        rows = run_table2()
-        return render_table2(rows), [r.to_dict() for r in rows]
-    if args.experiment == "table3":
-        from repro.harness.table3 import render_table3, run_table3
-
-        scenarios = run_table3()
-        return render_table3(scenarios), [s.to_dict() for s in scenarios]
-    if args.experiment == "perf":
-        from repro.harness.perf import render_perf, run_perf, summarize_perf
-
-        rows = run_perf()
-        return render_perf(rows), {
-            "rows": [r.to_dict() for r in rows],
-            "summary": summarize_perf(rows),
-        }
-    if args.experiment == "alloc":
-        from repro.harness.allocperf import render_alloc, run_alloc_bench
-
-        report = run_alloc_bench()
-        return render_alloc(report), report.to_dict()
-    if args.experiment == "analysis":
-        from repro.harness.analysisperf import (
-            render_analysis,
-            run_analysis_bench,
-        )
-
-        report = run_analysis_bench()
-        return render_analysis(report), report.to_dict()
-    from repro.harness.fig14 import render_fig14, run_fig14
-
-    rows = run_fig14()
-    return render_fig14(rows), [r.to_dict() for r in rows]
+#: ``repro bench`` experiments: (harness module, run, render).  The
+#: module is imported when the command runs, so importing the CLI loads
+#: no harness.  The throughput benches return their ``BENCH_*.json``
+#: payload; the paper's tables and figure return rows.
+BENCH_EXPERIMENTS = {
+    "table1": ("table1", "run_table1", "render_table1"),
+    "table2": ("table2", "run_table2", "render_table2"),
+    "table3": ("table3", "run_table3", "render_table3"),
+    "fig14": ("fig14", "run_fig14", "render_fig14"),
+    "perf": ("perf", "run_perf", "render_perf"),
+    "alloc": ("allocperf", "run_alloc_bench", "render_alloc"),
+    "analysis": ("analysisperf", "run_analysis_bench", "render_analysis"),
+}
 
 
 def _bench_ledger_path(args: argparse.Namespace):
@@ -323,34 +292,6 @@ def _bench_ledger_path(args: argparse.Namespace):
         return pathlib.Path(explicit)
     path = ledger.default_path()
     return path if path.parent.is_dir() else None
-
-
-def _append_bench_ledger(args: argparse.Namespace, data) -> None:
-    """Append one run-ledger row for a finished bench experiment."""
-    import time
-
-    from repro.harness.trend import watched_from_bench
-    from repro.obs import ledger
-    from repro.obs.export import to_jsonable
-
-    path = _bench_ledger_path(args)
-    if path is None:
-        return
-    watched = watched_from_bench(args.experiment, to_jsonable(data))
-    row = ledger.make_row(
-        args.experiment,
-        watched,
-        fingerprints=_suite_fingerprints(),
-        ts=time.time(),
-    )
-    out = ledger.append(row, path)
-    print(f"appended {args.experiment} ledger row to {out}", file=sys.stderr)
-
-
-def _suite_fingerprints() -> List[str]:
-    """Content fingerprints of the built-in suite kernels (what every
-    bench experiment measures), for the ledger row's identity."""
-    return [load(name).fingerprint() for name in BENCHMARKS]
 
 
 def _cmd_bench_trend(args: argparse.Namespace) -> int:
@@ -383,17 +324,28 @@ def _cmd_bench_trend(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness.trend import diverged
+    import importlib
+
+    from repro.harness.trend import record
 
     if args.experiment == "trend":
         return _cmd_bench_trend(args)
-    text, data = _run_bench_experiment(args)
-    print(text)
-    bad = diverged(args.experiment, data)
+    module, run, render = BENCH_EXPERIMENTS[args.experiment]
+    harness = importlib.import_module(f"repro.harness.{module}")
+    result = getattr(harness, run)()
+    print(getattr(harness, render)(result))
+    if not isinstance(result, dict):
+        result = [row.to_dict() for row in result]
+    path = _bench_ledger_path(args)
+    bad, appended = record(args.experiment, result, ledger_path=path)
     if bad:
         print(f"diverged: {', '.join(bad)} false; no row", file=sys.stderr)
         return 1
-    _append_bench_ledger(args, data)
+    if appended is not None:
+        print(
+            f"appended {args.experiment} ledger row to {appended}",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -439,20 +391,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
         drain_timeout_s=args.drain_timeout,
     )
     gc.set_threshold(*SERVE_GC_THRESHOLD)
+    stop = threading.Event()
+
+    def _on_signal(signum: int, frame: object) -> None:
+        stop.set()
+
+    # Installed before the server answers anything: a client that reads
+    # the banner may signal at once, and the default action would kill
+    # the process instead of draining it.
+    signal.signal(signal.SIGTERM, _on_signal)
+    signal.signal(signal.SIGINT, _on_signal)
     server = ReproServer(config, host=args.host, port=args.port)
     server.start()
     host, port = server.address
     # The exact "serving on" line is the contract the smoke harness
     # (and any wrapping orchestrator) parses for the bound port.
     print(f"serving on http://{host}:{port}", flush=True)
-
-    stop = threading.Event()
-
-    def _on_signal(signum: int, frame: object) -> None:
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
     stop.wait()
     print("draining...", file=sys.stderr, flush=True)
     clean = server.drain_and_stop(config.drain_timeout_s)
@@ -621,16 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "experiment",
-        choices=[
-            "table1",
-            "table2",
-            "table3",
-            "fig14",
-            "perf",
-            "alloc",
-            "analysis",
-            "trend",
-        ],
+        choices=[*BENCH_EXPERIMENTS, "trend"],
         help="experiment to run; 'alloc' measures the allocation "
         "pipeline cold/warm AND the shared-descent budget sweep (one "
         "Figure-8 descent per kernel answering every register budget, "

@@ -7,13 +7,16 @@
   minimal register allocation (paper Table 2).
 * :mod:`repro.harness.table3` -- the three ARA scenarios: spilling
   baseline vs register sharing, cycle counts per thread (paper Table 3).
-* :mod:`repro.harness.perf` -- execution-engine throughput comparison
-  (reference interpreter vs pre-decoded fast engine).
-* :mod:`repro.harness.report` -- plain-text table rendering shared by all.
+* :mod:`repro.harness.report` -- plain-text table rendering shared by
+  all, and :func:`~repro.harness.report.measure`, the one timing loop of
+  the throughput benches.
 
 Every harness exposes ``run(...) -> rows`` returning plain dataclasses and
 ``render(rows) -> str`` producing the table; the ``benchmarks/`` tree calls
-``run`` under pytest-benchmark and prints ``render``.
+``run`` under pytest-benchmark and prints ``render``.  The throughput
+benches are imported from their own modules and return their
+``BENCH_*.json`` payloads; :func:`repro.harness.trend.record` keeps every
+finished bench run.
 """
 
 from repro.harness.table1 import Table1Row, run_table1, render_table1
@@ -24,12 +27,6 @@ from repro.harness.table3 import (
     Table3Scenario,
     run_table3,
     render_table3,
-)
-from repro.harness.perf import (
-    PerfRow,
-    render_perf,
-    run_perf,
-    summarize_perf,
 )
 
 __all__ = [
@@ -46,8 +43,4 @@ __all__ = [
     "Table3Scenario",
     "run_table3",
     "render_table3",
-    "PerfRow",
-    "run_perf",
-    "render_perf",
-    "summarize_perf",
 ]

@@ -3,25 +3,25 @@
 Per suite kernel, :func:`~repro.core.analysis.analyze_thread` (the dense
 kernels) is timed against
 :func:`~repro.core.analysis.analyze_thread_reference` (the set-based
-construction), best of ``repeats`` runs, no caching anywhere.  This is
-the work a cache miss pays (web renaming, liveness, NSRs, interference
-graphs, the slot/conflict model).
+construction) by :func:`~repro.harness.report.measure`, no caching
+anywhere.  This is the work a cache miss pays (web renaming, liveness,
+NSRs, interference graphs, the slot/conflict model).
 
-Fidelity is checked harder than speed: per kernel the two analyses are
-reduced to a canonical SHA-256 digest over every comparable
-``ThreadAnalysis`` field (orders included) and the digests must match.
-Any mismatch invalidates the speedups.  Whole allocations on the two
-implementations are compared in ``tests/test_dense.py``.  ``repro bench
-analysis`` or ``pytest benchmarks/bench_analysis.py --benchmark-only
--s`` regenerates ``benchmarks/out/BENCH_analysis.json``.
+Fidelity is checked harder than speed: per kernel the last timed
+analysis of each implementation is reduced to a canonical SHA-256
+digest over every comparable ``ThreadAnalysis`` field (orders included)
+and the digests must match.  Any mismatch invalidates the speedups.
+Whole allocations on the two implementations are compared in
+``tests/test_dense.py``.  ``repro bench analysis`` or ``pytest
+benchmarks/bench_analysis.py --benchmark-only -s`` regenerates
+``benchmarks/out/BENCH_analysis.json``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.analysis import (
@@ -29,7 +29,7 @@ from repro.core.analysis import (
     analyze_thread,
     analyze_thread_reference,
 )
-from repro.harness.report import text_table
+from repro.harness.report import REPEATS, measure, ratio, text_table
 from repro.suite.registry import BENCHMARKS, load
 
 
@@ -81,87 +81,42 @@ def analysis_digest(an: ThreadAnalysis) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-@dataclass
-class AnalysisBenchReport:
-    """Everything ``BENCH_analysis.json`` carries."""
-
-    rows: List[Dict[str, Any]]
-    analysis_reference_s: float
-    analysis_dense_s: float
-    repeats: int
-    digests_identical: bool
-    kernels: List[str] = field(default_factory=list)
-
-    @property
-    def analysis_speedup(self) -> float:
-        return (
-            self.analysis_reference_s / self.analysis_dense_s
-            if self.analysis_dense_s
-            else 0.0
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kernels": self.kernels,
-            "repeats": self.repeats,
-            "analysis_reference_s": self.analysis_reference_s,
-            "analysis_dense_s": self.analysis_dense_s,
-            "analysis_speedup": self.analysis_speedup,
-            "digests_identical": self.digests_identical,
-            "rows": self.rows,
-        }
-
-
-def _best(fn, repeats: int) -> float:
-    out = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        out = min(out, time.perf_counter() - start)
-    return out
-
-
 def run_analysis_bench(
     names: Optional[Sequence[str]] = None,
-    repeats: int = 3,
-) -> AnalysisBenchReport:
-    """Measure both implementations over the suite (see module docstring)."""
+) -> Dict[str, Any]:
+    """Measure both implementations over the suite (see module
+    docstring); returns the ``BENCH_analysis.json`` payload."""
     names = list(names or BENCHMARKS)
     impls = (
         ("reference", analyze_thread_reference),
         ("dense", analyze_thread),
     )
     rows: List[Dict[str, Any]] = []
-    totals = {"reference": 0.0, "dense": 0.0}
-    digests_identical = True
     for name in names:
         program = load(name)
         row: Dict[str, Any] = {"name": name}
         digests: Dict[str, str] = {}
         for impl, analyze in impls:
-            digests[impl] = analysis_digest(analyze(program))
-            seconds = _best(lambda: analyze(program), repeats)
-            row[f"{impl}_s"] = seconds
-            totals[impl] += seconds
-        row["speedup"] = (
-            row["reference_s"] / row["dense_s"] if row["dense_s"] else 0.0
-        )
+            row[f"{impl}_s"], analyses = measure(partial(analyze, program))
+            digests[impl] = analysis_digest(analyses[-1])
+        row["speedup"] = ratio(row["reference_s"], row["dense_s"])
         row["digest"] = digests["dense"]
         row["digest_identical"] = digests["reference"] == digests["dense"]
-        digests_identical &= row["digest_identical"]
         rows.append(row)
+    reference_s = sum(r["reference_s"] for r in rows)
+    dense_s = sum(r["dense_s"] for r in rows)
+    return {
+        "kernels": names,
+        "repeats": REPEATS,
+        "analysis_reference_s": reference_s,
+        "analysis_dense_s": dense_s,
+        "analysis_speedup": ratio(reference_s, dense_s),
+        "digests_identical": all(r["digest_identical"] for r in rows),
+        "rows": rows,
+    }
 
-    return AnalysisBenchReport(
-        rows=rows,
-        analysis_reference_s=totals["reference"],
-        analysis_dense_s=totals["dense"],
-        repeats=repeats,
-        digests_identical=digests_identical,
-        kernels=names,
-    )
 
-
-def render_analysis(report: AnalysisBenchReport) -> str:
+def render_analysis(data: Dict[str, Any]) -> str:
     headers = ["kernel", "reference ms", "dense ms", "speedup", "identical"]
     rows = [
         (
@@ -171,17 +126,17 @@ def render_analysis(report: AnalysisBenchReport) -> str:
             f"{r['speedup']:.2f}x",
             "yes" if r["digest_identical"] else "NO",
         )
-        for r in report.rows
+        for r in data["rows"]
     ]
     out = (
         f"Cold-analysis throughput: dense bitset kernels vs reference "
-        f"(best of {report.repeats})\n"
+        f"(best of {data['repeats']})\n"
     )
     out += text_table(headers, rows)
     out += (
-        f"\nanalysis stage: reference {report.analysis_reference_s:.3f}s"
-        f"  dense {report.analysis_dense_s:.3f}s"
-        f"  ({report.analysis_speedup:.2f}x)"
-        f"\nidentical analyses: {report.digests_identical}"
+        f"\nanalysis stage: reference {data['analysis_reference_s']:.3f}s"
+        f"  dense {data['analysis_dense_s']:.3f}s"
+        f"  ({data['analysis_speedup']:.2f}x)"
+        f"\nidentical analyses: {data['digests_identical']}"
     )
     return out

@@ -1,10 +1,44 @@
-"""Aligned plain-text tables for experiment output, and the one
-argument check the paper's four ``run_*`` harnesses share."""
+"""Aligned plain-text tables for experiment output, the one timing
+primitive the throughput benches share, and the one argument check the
+paper's four ``run_*`` harnesses share."""
 
 from __future__ import annotations
 
+import gc
 import math
-from typing import List, Sequence
+import time
+from typing import Any, Callable, List, Optional, Sequence, Tuple
+
+#: Timed calls per measurement: every bench reports the best of them.
+REPEATS = 3
+
+
+def measure(
+    fn: Callable[[], Any], setup: Optional[Callable[[], None]] = None
+) -> Tuple[float, List[Any]]:
+    """Time :data:`REPEATS` calls of ``fn``; returns ``(best_s, results)``.
+
+    Before each call ``setup`` (when given) runs and then a full
+    collection, so neither the reset nor garbage left by the previous
+    call lands in the timed region.  ``results`` holds every call's
+    return value in call order: the benches compare all of them, not
+    just one, before they vouch for a ratio of two timings.
+    """
+    best, results = float("inf"), []
+    for _ in range(REPEATS):
+        if setup is not None:
+            setup()
+        gc.collect()
+        start = time.perf_counter()
+        results.append(fn())
+        best = min(best, time.perf_counter() - start)
+    return best, results
+
+
+def ratio(a: float, b: float) -> float:
+    """``a / b``, or 0.0 when ``b`` is zero (a rate or speedup over an
+    interval too short to time)."""
+    return a / b if b else 0.0
 
 
 def text_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:

@@ -15,6 +15,10 @@ counts, move counts, register savings), and renders a per-metric
 trajectory with a regression verdict.  ``repro bench trend --gate``
 turns the verdict into an exit code, making it a CI gate.
 
+:func:`record` is the one writer of finished bench runs: ``repro
+bench``, the ``benchmarks/`` tree and CI's perf smoke all keep their
+text, ``BENCH_*.json`` snapshot and ledger row through it.
+
 The gate is noise-aware: the baseline is the *median* of all prior
 points, and the effective threshold is the larger of the requested
 ``--threshold`` percentage and twice the relative median-absolute-
@@ -27,8 +31,12 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+
+from repro.obs import ledger
+from repro.obs.export import bench_snapshot, to_jsonable
 
 SCHEMA_TREND = "repro.trend/1"
 
@@ -60,7 +68,7 @@ IDENTITY_FLAGS: Dict[str, Tuple[str, ...]] = {
 
 def diverged(bench: str, data: Any) -> List[str]:
     """The identity flags ``data`` carries as false (``perf`` keeps its
-    flag in ``summary``); ``repro bench`` fails such a run."""
+    flag in ``summary``); :func:`record` keeps no such run."""
     if bench == "perf" and isinstance(data, dict):
         data = data.get("summary")
     flags = IDENTITY_FLAGS.get(bench, ()) if isinstance(data, dict) else ()
@@ -128,6 +136,41 @@ def watched_from_bench(bench: str, data: Any) -> Dict[str, float]:
         # extractor catches up; the sentinel must never crash a run.
         return {}
     return out
+
+
+def record(
+    bench: str,
+    data: Any,
+    *,
+    text: Optional[str] = None,
+    out_dir: Optional[PathLike] = None,
+    ledger_path: Optional[PathLike] = None,
+    config: Optional[Mapping[str, Any]] = None,
+) -> Tuple[List[str], Optional[pathlib.Path]]:
+    """Keep one finished bench run; returns its false identity flags
+    and the ledger it appended a row to (None when it appended none).
+
+    A run with a false identity flag (:func:`diverged`) keeps nothing:
+    its speedups compare two computations that disagreed.  Otherwise
+    ``text`` goes to ``<out_dir>/<bench>.txt`` and ``data`` to
+    ``<out_dir>/BENCH_<bench>.json`` when ``out_dir`` is given, and one
+    ledger row with the run's watched metrics and ``config`` is
+    appended to ``ledger_path`` when that is given and the run has
+    watched metrics (the ablations have none).
+    """
+    data = to_jsonable(data)
+    bad = diverged(bench, data)
+    if bad:
+        return bad, None
+    if out_dir is not None:
+        bench_snapshot(bench, data, out_dir)
+        if text is not None:
+            (pathlib.Path(out_dir) / f"{bench}.txt").write_text(text + "\n")
+    metrics = watched_from_bench(bench, data)
+    if ledger_path is None or not metrics:
+        return bad, None
+    row = ledger.make_row(bench, metrics, config=config, ts=time.time())
+    return bad, ledger.append(row, ledger_path)
 
 
 @dataclass
@@ -264,8 +307,6 @@ def run_trend(
     threshold_pct: float = 10.0,
 ) -> List[MetricTrend]:
     """Read the ledger + committed snapshots and build every trend."""
-    from repro.obs import ledger
-
     rows = ledger.read(ledger_path)
     return build_trends(
         rows, load_committed(out_dir), threshold_pct=threshold_pct

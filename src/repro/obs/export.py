@@ -28,7 +28,7 @@ import json
 import math
 import pathlib
 import re
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, List, Mapping, Union
 
 SCHEMA_RUN = "repro.obs/1"
 SCHEMA_BENCH = "repro.bench/1"
@@ -228,11 +228,7 @@ def write_chrome_trace(
     return write_json(path, to_chrome_trace(emitter, pid=pid, tid=tid))
 
 
-def run_snapshot(
-    emitter: Any,
-    registry: Any = None,
-    extra: Optional[Mapping[str, Any]] = None,
-) -> Dict[str, Any]:
+def run_snapshot(emitter: Any, registry: Any = None) -> Dict[str, Any]:
     """Build the combined ``--metrics`` document from one captured run.
 
     Keys:
@@ -266,17 +262,10 @@ def run_snapshot(
     }
     if registry is not None:
         doc["metrics"] = registry.snapshot()
-    if extra:
-        doc.update(extra)
     return doc
 
 
-def bench_snapshot(
-    name: str,
-    data: Any,
-    out_dir: PathLike,
-    extra: Optional[Mapping[str, Any]] = None,
-) -> pathlib.Path:
+def bench_snapshot(name: str, data: Any, out_dir: PathLike) -> pathlib.Path:
     """Write ``BENCH_<name>.json`` under ``out_dir``; returns the path.
 
     The file shape is ``{"schema": ..., "bench": name, "data": ...}`` so
@@ -288,6 +277,4 @@ def bench_snapshot(
         "bench": name,
         "data": to_jsonable(data),
     }
-    if extra:
-        doc.update(to_jsonable(extra))
     return write_json(pathlib.Path(out_dir) / f"BENCH_{name}.json", doc)

@@ -1,29 +1,28 @@
 """The run ledger: an append-only JSONL store of benchmark measurements.
 
-Every benchmark harness run -- ``pytest benchmarks/bench_*.py`` via
-:func:`benchmarks._util.publish` and every ``repro bench`` invocation --
-appends one schema-versioned row per experiment, next to the committed
-``BENCH_*.json`` snapshots.  Where a ``BENCH_*.json`` file holds *one*
-(committed, reproducible) measurement, the ledger accumulates the
-*trajectory* of measurements across runs and machines; the regression
-sentinel (:mod:`repro.harness.trend`, ``repro bench trend``) reads both
-to decide whether a watched metric regressed.
+Every finished bench run -- ``pytest benchmarks/bench_*.py``, every
+``repro bench`` invocation and CI's perf smoke -- is kept by
+:func:`repro.harness.trend.record`, which appends one schema-versioned
+row per watched experiment, next to the ``BENCH_*.json`` snapshots.
+Where a ``BENCH_*.json`` file holds *one* (committed, reproducible)
+measurement, the ledger accumulates the *trajectory* of measurements
+across runs and machines; the regression sentinel
+(:mod:`repro.harness.trend`, ``repro bench trend``) reads both to
+decide whether a watched metric regressed.
 
 Row shape (``schema: repro.ledger/1``)::
 
     {"schema": "repro.ledger/1", "bench": "perf",
      "ts": 1754550000.0, "commit": "79a5f3d",
      "config": {},
-     "fingerprints": ["9ae2...", ...],
      "metrics": {"sim.speedup": 5.79, ...}}
 
 ``ts`` and ``commit`` are **caller-supplied** (wall time and VCS state
 are the caller's business -- the library never calls ``time.time`` or
 ``git`` itself); :func:`default_commit` just reads the conventional
 environment variables.  ``metrics`` holds the watched scalar values for
-this bench (see :data:`repro.harness.trend.WATCHED`), ``fingerprints``
-the content fingerprints of the programs measured, ``config`` whatever
-knobs shaped the run.
+this bench (see :data:`repro.harness.trend.WATCHED`), ``config``
+whatever knobs shaped the run.
 
 The store is plain JSON Lines: one compact object per line, appended
 with a single ``write`` so concurrent appenders interleave at line
@@ -72,7 +71,6 @@ def make_row(
     metrics: Mapping[str, float],
     *,
     config: Optional[Mapping[str, Any]] = None,
-    fingerprints: Optional[Iterable[str]] = None,
     ts: Optional[float] = None,
     commit: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -85,7 +83,6 @@ def make_row(
         "ts": ts,
         "commit": commit if commit is not None else default_commit(),
         "config": to_jsonable(dict(config) if config else {}),
-        "fingerprints": sorted(fingerprints) if fingerprints else [],
         "metrics": {k: to_jsonable(v) for k, v in sorted(metrics.items())},
     }
 

@@ -144,10 +144,11 @@ def test_bench_fails_a_diverged_run_and_records_no_row(
     # run exits 1 and leaves the ledger alone.
     from repro.harness import analysisperf
 
-    report = analysisperf.AnalysisBenchReport(
-        rows=[], analysis_reference_s=1.5, analysis_dense_s=0.1,
-        repeats=1, digests_identical=identical, kernels=["crc"],
-    )
+    report = {
+        "kernels": ["crc"], "repeats": 1, "analysis_reference_s": 1.5,
+        "analysis_dense_s": 0.1, "analysis_speedup": 15.0,
+        "digests_identical": identical, "rows": [],
+    }
     monkeypatch.setattr(analysisperf, "run_analysis_bench", lambda: report)
     ledger = tmp_path / "ledger.jsonl"
     code = main(["bench", "analysis", "--ledger", str(ledger)])
@@ -155,3 +156,51 @@ def test_bench_fails_a_diverged_run_and_records_no_row(
     assert ledger.exists() == identical
     if not identical:
         assert "digests_identical" in capsys.readouterr().err
+
+
+def test_bench_reports_no_row_it_did_not_write(tmp_path, monkeypatch, capsys):
+    # A run with no watched metric (here a Figure 14 without rows) is
+    # kept without a ledger row, and the CLI must not claim one.
+    from repro.harness import fig14
+
+    monkeypatch.setattr(fig14, "run_fig14", lambda: [])
+    monkeypatch.setattr(fig14, "render_fig14", lambda rows: "no rows")
+    ledger = tmp_path / "ledger.jsonl"
+    assert main(["bench", "fig14", "--ledger", str(ledger)]) == 0
+    assert not ledger.exists()
+    assert "appended" not in capsys.readouterr().err
+
+
+def test_serve_installs_its_signal_handlers_before_it_serves(monkeypatch):
+    # A client that reads the banner may send SIGTERM at once; with the
+    # default action still installed that kills the process undrained.
+    import gc
+    import os
+    import signal
+
+    import repro.service
+
+    class FakeServer:
+        address = ("127.0.0.1", 0)
+
+        def __init__(self, config, host, port):
+            pass
+
+        def start(self):
+            assert callable(signal.getsignal(signal.SIGTERM))
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        def drain_and_stop(self, timeout):
+            return True
+
+    handlers = {
+        sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)
+    }
+    thresholds = gc.get_threshold()
+    monkeypatch.setattr(repro.service, "ReproServer", FakeServer)
+    try:
+        assert main(["serve", "--port", "0"]) == 0
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
+        gc.set_threshold(*thresholds)

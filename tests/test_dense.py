@@ -239,7 +239,7 @@ def test_fixture_merges_identical(text):
     assert_merges_identical(da.graphs, ra.graphs)
 
 
-#: Kernels whose ``allocperf.build_grid(nthd=4)`` points (each kernel's
+#: Kernels whose ``allocperf.build_grid`` points (4 threads, each kernel's
 #: own ceiling budget) are allocated whole on both implementations.
 GRID_KERNELS = ("crc", "md5", "url")
 
@@ -262,7 +262,7 @@ def test_bounds_and_allocation_identical(name, nthd):
         if nthd == 2:
             budgets = [64]
         else:
-            budgets = [nreg for _, nreg, _ in build_grid([name], nthd=nthd)]
+            budgets = [nreg for _, nreg, _ in build_grid([name])]
         db = cache.bounds(program)
         douts = allocate_all(budgets)
     assert all(a.dense is not None for o in douts for a in o.analyses)

@@ -1,8 +1,16 @@
 """Tests for the experiment harnesses (small configurations)."""
 
+import json
+import pathlib
+from types import SimpleNamespace
+
 import pytest
 
+from repro.harness import report
+from repro.harness.allocperf import render_alloc, run_alloc_bench
+from repro.harness.analysisperf import render_analysis, run_analysis_bench
 from repro.harness.fig14 import Fig14Row, average_saving, render_fig14, run_fig14
+from repro.harness.perf import render_perf, run_perf
 from repro.harness.report import text_table
 from repro.harness.table1 import render_table1, run_table1
 from repro.harness.table2 import render_table2, run_table2
@@ -12,6 +20,9 @@ from repro.harness.table3 import (
     run_scenario,
     run_table3,
 )
+from repro.harness.trend import IDENTITY_FLAGS, WATCHED, watched_from_bench
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 LIGHT = ["frag", "drr"]
 
@@ -22,6 +33,66 @@ def test_text_table_alignment():
     assert len(lines) == 4
     assert lines[0].startswith("name")
     assert set(lines[1]) <= {"-", " "}
+
+
+def test_measure_times_only_the_calls_and_returns_every_result(monkeypatch):
+    # Three timed calls per arm, each after its (untimed) setup and a
+    # full collection; the best duration and every result come back.
+    assert report.REPEATS == 3
+    calls = []
+    ticks = iter([0.0, 5.0, 10.0, 12.0, 20.0, 27.0] * 2)
+
+    def perf_counter():
+        calls.append("tick")
+        return next(ticks)
+
+    def fn():
+        calls.append("fn")
+        return len(calls)
+
+    clock = SimpleNamespace(perf_counter=perf_counter)
+    monkeypatch.setattr(report, "time", clock)
+    monkeypatch.setattr(report.gc, "collect", lambda: calls.append("collect"))
+    best, results = report.measure(fn, setup=lambda: calls.append("setup"))
+    assert best == 2.0
+    assert calls == ["setup", "collect", "tick", "fn", "tick"] * 3
+    assert results == [4, 9, 14]
+    calls.clear()
+    best, results = report.measure(fn)
+    assert best == 2.0
+    assert calls == ["collect", "tick", "fn", "tick"] * 3
+    assert results == [3, 7, 11]
+
+
+@pytest.mark.parametrize(
+    "bench, run, render, rows",
+    [
+        ("perf", lambda: run_perf(["crc"], packets=8), render_perf, "rows"),
+        ("alloc", lambda: run_alloc_bench(["crc"]), render_alloc, "points"),
+        ("analysis", lambda: run_analysis_bench(["crc"]), render_analysis,
+         "rows"),
+    ],
+    ids=["perf", "alloc", "analysis"],
+)
+def test_throughput_bench_returns_its_committed_payload_shape(
+    bench, run, render, rows
+):
+    data = run()
+    path = ROOT / "benchmarks" / "out" / f"BENCH_{bench}.json"
+    committed = json.loads(path.read_text())["data"]
+    flags = data["summary"] if bench == "perf" else data
+    assert all(flags[f] is True for f in IDENTITY_FLAGS[bench])
+    assert set(data) == set(committed)
+    assert {frozenset(r) for r in data[rows]} == {
+        frozenset(r) for r in committed[rows]
+    }
+    if bench == "perf":
+        assert set(data["summary"]) == set(committed["summary"])
+    family = {"perf": "sim"}.get(bench, bench)
+    assert set(watched_from_bench(bench, data)) == {
+        m for m in WATCHED if m.split(".")[0] == family
+    }
+    assert render(data)
 
 
 @pytest.mark.parametrize(

@@ -109,6 +109,59 @@ def test_committed_snapshots_yield_every_watched_metric():
 
 
 # ----------------------------------------------------------------------
+# record
+# ----------------------------------------------------------------------
+
+def _committed(bench):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = root / "benchmarks" / "out" / f"BENCH_{bench}.json"
+    return json.loads(path.read_text())["data"]
+
+
+def test_record_keeps_nothing_of_a_diverged_run(tmp_path):
+    data = {**_committed("analysis"), "digests_identical": False}
+    bad, appended = trend.record(
+        "analysis", data, text="table", out_dir=tmp_path / "out",
+        ledger_path=tmp_path / "ledger.jsonl",
+    )
+    assert bad == ["digests_identical"] and appended is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_record_writes_text_snapshot_and_one_ledger_row(tmp_path):
+    from repro.obs.export import bench_snapshot
+
+    data = _committed("alloc")
+    out, path = tmp_path / "out", tmp_path / "ledger.jsonl"
+    config = {"ci": True, "names": ["crc"]}
+    assert trend.record(
+        "alloc", data, text="table", out_dir=out, ledger_path=path,
+        config=config,
+    ) == ([], path)
+    assert (out / "alloc.txt").read_text() == "table\n"
+    expected = bench_snapshot("alloc", data, tmp_path / "expected")
+    assert (out / "BENCH_alloc.json").read_bytes() == expected.read_bytes()
+    (row,) = ledger.read(path)
+    assert row["bench"] == "alloc"
+    assert row["metrics"] == trend.watched_from_bench("alloc", data)
+    assert set(row["metrics"]) == {
+        "alloc.warm_speedup", "alloc.descent_speedup",
+    }
+    assert row["config"] == config
+
+
+def test_record_writes_no_row_for_an_unwatched_bench(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    data = {"mix": ["drr", "fir2dim"], "nreg": 31, "greedy_moves": 4}
+    assert trend.record(
+        "ablation_policy", data, text="table", out_dir=tmp_path,
+        ledger_path=path,
+    ) == ([], None)
+    assert (tmp_path / "BENCH_ablation_policy.json").exists()
+    assert not path.exists()
+
+
+# ----------------------------------------------------------------------
 # build_trends verdicts
 # ----------------------------------------------------------------------
 

@@ -20,14 +20,12 @@ def test_make_row_shape_and_determinism():
         "alloc",
         {"b": 2.0, "a": 1.0},
         config={"jobs": 4},
-        fingerprints=["zz", "aa"],
         ts=123.5,
         commit="abc123",
     )
     assert row["schema"] == ledger.SCHEMA_LEDGER
     assert row["bench"] == "alloc"
     assert list(row["metrics"]) == ["a", "b"]
-    assert row["fingerprints"] == ["aa", "zz"]
     assert row["ts"] == 123.5 and row["commit"] == "abc123"
     json.dumps(row, allow_nan=False)
 
