@@ -48,6 +48,9 @@ from repro.ir.program import Program
 #: Default word address of the spill area (kept clear of packet areas).
 DEFAULT_SPILL_BASE = 0x8000
 
+#: Spill rounds before :func:`spill_until_colorable` gives up.
+MAX_SPILL_ROUNDS = 64
+
 
 @dataclass
 class ChaitinResult:
@@ -203,15 +206,13 @@ def spill_until_colorable(
     program: Program,
     k: int,
     spill_base: int = DEFAULT_SPILL_BASE,
-    max_rounds: int = 64,
 ) -> Tuple[Program, Dict[Reg, int], "ChaitinStats"]:
-    """Insert spill code until the program is ``k``-colorable.
+    """Insert spill code until the program is ``k``-colorable, in at most
+    :data:`MAX_SPILL_ROUNDS` rounds.
 
     Returns the (still virtual-register) program, a valid coloring into
-    ``[0, k)``, and the spill statistics.  This is the reusable half of
-    :func:`chaitin_allocate`; the cross-thread allocator's spill fallback
-    also uses it to relieve a thread whose lower bounds exceed its share
-    of the register file.
+    ``[0, k)``, and the spill statistics: the coloring half of
+    :func:`chaitin_allocate`.
     """
     current = program.copy()
     all_spilled: List[VirtualReg] = []
@@ -220,7 +221,7 @@ def spill_until_colorable(
     total_loads = 0
     total_stores = 0
     unspillable: set = set()
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, MAX_SPILL_ROUNDS + 1):
         graph = _build_graph(current)
         occurrences = _occurrences(current)
         coloring, spills = _simplify_select(graph, k, occurrences)
@@ -261,7 +262,8 @@ def spill_until_colorable(
         total_loads += n_loads
         total_stores += n_stores
     raise AllocationError(
-        f"{program.name}: spilling failed to converge in {max_rounds} rounds"
+        f"{program.name}: spilling failed to converge in "
+        f"{MAX_SPILL_ROUNDS} rounds"
     )
 
 
@@ -280,12 +282,11 @@ def chaitin_allocate(
     k: int,
     phys_base: int = 0,
     spill_base: int = DEFAULT_SPILL_BASE,
-    max_rounds: int = 64,
 ) -> ChaitinResult:
     """Allocate ``program`` into ``k`` physical registers
     ``$r[phys_base] .. $r[phys_base + k - 1]``, spilling as needed."""
     current, coloring, stats = spill_until_colorable(
-        program, k, spill_base=spill_base, max_rounds=max_rounds
+        program, k, spill_base=spill_base
     )
     mapping: Dict[Reg, Reg] = {
         reg: PhysReg(phys_base + color) for reg, color in coloring.items()

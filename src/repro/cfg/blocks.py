@@ -65,18 +65,3 @@ def build_blocks(program: Program) -> List[BasicBlock]:
     for block in blocks:
         block.preds = tuple(preds[block.bid])
     return blocks
-
-
-def block_of_index(blocks: List[BasicBlock], index: int) -> BasicBlock:
-    """Return the block containing instruction ``index`` (binary search)."""
-    lo, hi = 0, len(blocks) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        block = blocks[mid]
-        if index < block.start:
-            hi = mid - 1
-        elif index >= block.end:
-            lo = mid + 1
-        else:
-            return block
-    raise IndexError(f"instruction {index} is in no block")

@@ -59,9 +59,7 @@ class Liveness:
     program: Program
     live_in: List[FrozenSet[Reg]]
     live_out: List[FrozenSet[Reg]]
-    def_sets: Optional[List[FrozenSet[Reg]]] = field(
-        default=None, repr=False, compare=False
-    )
+    def_sets: List[FrozenSet[Reg]] = field(repr=False, compare=False)
     #: Bitmask payload attached by the dense kernels
     #: (:class:`repro.core.dense.DenseLiveness`); downstream passes key
     #: off its presence.  Never compared or printed.
@@ -72,13 +70,7 @@ class Liveness:
         instr = self.program.instrs[index]
         if not instr.is_csb:
             raise ValueError(f"instruction {index} ({instr.opcode}) is not a CSB")
-        # getattr: objects unpickled from pre-def_sets disk caches lack
-        # the attribute entirely.
-        def_sets = getattr(self, "def_sets", None)
-        if def_sets is None:
-            def_sets = [frozenset(ins.defs) for ins in self.program.instrs]
-            self.def_sets = def_sets
-        return self.live_out[index] - def_sets[index]
+        return self.live_out[index] - self.def_sets[index]
 
     def entry_live(self) -> FrozenSet[Reg]:
         """Registers live at program entry (expected values from outside)."""
@@ -177,9 +169,8 @@ def occupied_slots(liveness: Liveness, reg: Reg) -> FrozenSet[int]:
     live range is a subset of its slots, and a move is required on every
     control-flow edge between slots assigned to different pieces.
     """
-    dense = getattr(liveness, "_dense", None)
-    if dense is not None:
-        return dense.occupied_frozen(reg)
+    if liveness._dense is not None:
+        return liveness._dense.occupied_frozen(reg)
     out: Set[int] = set()
     for i in range(len(liveness.program.instrs)):
         if reg in liveness.live_in[i] or reg in liveness.program.instrs[i].defs:

@@ -39,10 +39,6 @@ Flags that force a reference-only feature (e.g. ``run --allocated``)
 reject ``--engine fast`` with an error naming the forcing flag.
 Library errors (:class:`~repro.errors.ReproError`, e.g. an
 infeasible ``--nreg``) print ``error: <message>`` and exit 2.
-``profile`` and ``bench`` also accept ``--cache-dir DIR`` (persist the
-analysis cache on disk, also settable via ``REPRO_CACHE_DIR``; the
-default is in-memory only).  See "Allocator performance" in
-``docs/PERFORMANCE.md``.
 ``chaos [--kernels a,b,c] [--scenarios x,y] [--seed N] [--json OUT]``
     Run the fault-injection chaos harness (``docs/ROBUSTNESS.md``):
     every scenario must end masked-by-policy or as a typed error, with
@@ -77,7 +73,7 @@ import argparse
 import contextlib
 import pathlib
 import sys
-from typing import Any, ContextManager, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.core.analysis import analyze_thread
 from repro.core.bounds import estimate_bounds
@@ -439,41 +435,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_scope(args: argparse.Namespace) -> ContextManager[Any]:
-    """Bind an analysis cache persisted in ``--cache-dir`` around the
-    command when given; otherwise the process default serves it."""
-    cache_dir = getattr(args, "cache_dir", None)
-    if not cache_dir:
-        return contextlib.nullcontext()
-    from repro.core.cache import AnalysisCache, scoped
-
-    return scoped(AnalysisCache(cache_dir=cache_dir))
-
-
-def _add_perf_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        dest="cache_dir",
-        help="persist the analysis cache in DIR across runs "
-        "(default: in-memory only, or $REPRO_CACHE_DIR when set)",
-    )
-
-
-def _add_engine_flag(p: argparse.ArgumentParser) -> None:
-    """The one shared ``--engine`` definition for the subparsers that
-    run the simulator per call (``run``/``profile``); the choice list
-    comes straight from the engine registry."""
-    p.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default="auto",
-        help="execution engine: 'fast' is the pre-decoded burst engine "
-        "(stats-identical, no tracing/paranoid checks), 'reference' "
-        "the full-featured interpreter, 'auto' picks per run (default)",
-    )
-
-
 def _engine_conflict(flag: str, engine: str, feature: str) -> str:
     """An incompatible-flag error that names the flag forcing the
     conflict, e.g. ``--allocated`` vs ``--engine fast``."""
@@ -481,34 +442,6 @@ def _engine_conflict(flag: str, engine: str, feature: str) -> str:
         f"error: {flag} needs {feature}, which the {engine} engine does "
         f"not implement; {flag} forces the reference engine, so drop "
         f"--engine {engine} or use --engine reference/auto"
-    )
-
-
-def _add_obs_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--metrics",
-        metavar="OUT.json",
-        help="write a combined telemetry snapshot (phase timings, "
-        "inter-allocator steps, simulator cycle accounting, metrics)",
-    )
-    p.add_argument(
-        "--trace-json",
-        metavar="OUT.jsonl",
-        dest="trace_json",
-        help="write the raw structured event log as JSON Lines",
-    )
-    p.add_argument(
-        "--prom",
-        metavar="OUT.prom",
-        help="write the metric registry in Prometheus text exposition "
-        "format (histograms as _bucket/_sum/_count)",
-    )
-    p.add_argument(
-        "--trace-chrome",
-        metavar="OUT.json",
-        dest="trace_chrome",
-        help="write the span tree as Chrome trace-event JSON "
-        "(chrome://tracing, Perfetto)",
     )
 
 
@@ -522,56 +455,96 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="per-thread analysis report")
-    p.add_argument("files", nargs="+")
+    # The flags several subcommands share, declared once each.
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("files", nargs="+")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--nreg", type=int, default=128)
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--packets", type=int, default=16)
+    sim.add_argument(
+        "--engine",
+        choices=list(ENGINES),
+        default="auto",
+        help="execution engine: 'fast' is the pre-decoded burst engine "
+        "(stats-identical, no tracing/paranoid checks), 'reference' "
+        "the full-featured interpreter, 'auto' picks per run (default)",
+    )
+    telemetry = argparse.ArgumentParser(add_help=False)
+    telemetry.add_argument(
+        "--metrics",
+        metavar="OUT.json",
+        help="write a combined telemetry snapshot (phase timings, "
+        "inter-allocator steps, simulator cycle accounting, metrics)",
+    )
+    telemetry.add_argument(
+        "--trace-json",
+        metavar="OUT.jsonl",
+        dest="trace_json",
+        help="write the raw structured event log as JSON Lines",
+    )
+    telemetry.add_argument(
+        "--prom",
+        metavar="OUT.prom",
+        help="write the metric registry in Prometheus text exposition "
+        "format (histograms as _bucket/_sum/_count)",
+    )
+    telemetry.add_argument(
+        "--trace-chrome",
+        metavar="OUT.json",
+        dest="trace_chrome",
+        help="write the span tree as Chrome trace-event JSON "
+        "(chrome://tracing, Perfetto)",
+    )
+
+    p = sub.add_parser(
+        "analyze", help="per-thread analysis report", parents=[files, telemetry]
+    )
     p.add_argument(
         "--chart", action="store_true", help="print the live-range chart"
     )
     p.add_argument(
         "--nsr", action="store_true", help="print the NSR-annotated listing"
     )
-    _add_obs_flags(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("allocate", help="cross-thread register allocation")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--nreg", type=int, default=128)
+    p = sub.add_parser(
+        "allocate",
+        help="cross-thread register allocation",
+        parents=[files, budget, telemetry],
+    )
     p.add_argument("-o", "--output", help="directory for rewritten assembly")
-    _add_obs_flags(p)
     p.set_defaults(func=cmd_allocate)
 
-    p = sub.add_parser("run", help="simulate threads over packet queues")
-    p.add_argument("files", nargs="+")
-    p.add_argument("--nreg", type=int, default=128)
-    p.add_argument("--packets", type=int, default=16)
+    p = sub.add_parser(
+        "run",
+        help="simulate threads over packet queues",
+        parents=[files, budget, sim, telemetry],
+    )
     p.add_argument(
         "--allocated",
         action="store_true",
         help="allocate first, verify against the reference run",
     )
-    _add_engine_flag(p)
-    _add_obs_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser(
-        "profile", help="profile the allocator pipeline and simulator"
+        "profile",
+        help="profile the allocator pipeline and simulator",
+        parents=[files, budget, sim],
     )
-    p.add_argument("files", nargs="+")
-    p.add_argument("--nreg", type=int, default=128)
-    p.add_argument("--packets", type=int, default=16)
     p.add_argument(
         "--no-sim",
         action="store_true",
         help="profile the allocation only, skip the simulated run",
     )
     p.add_argument("--json", metavar="OUT.json", help="write the report as JSON")
-    _add_engine_flag(p)
-    _add_perf_flags(p)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
         "bench",
         help="regenerate a paper table/figure or run the trend sentinel",
+        parents=[telemetry],
     )
     p.add_argument(
         "experiment",
@@ -581,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Figure-8 descent per kernel answering every register budget, "
         "see docs/PERFORMANCE.md, 'Shared-descent budget sweeps')",
     )
-    _add_obs_flags(p)
-    _add_perf_flags(p)
     p.add_argument(
         "--ledger",
         metavar="PATH",
@@ -614,6 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "chaos",
         help="run the fault-injection chaos harness and gate on it",
+        parents=[telemetry],
     )
     p.add_argument(
         "--kernels",
@@ -629,7 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--json", metavar="OUT.json", help="write the chaos report as JSON"
     )
-    _add_obs_flags(p)
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -710,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with _telemetry(args), _cache_scope(args):
+        with _telemetry(args):
             return args.func(args)
     except BrokenPipeError:  # e.g. piped into `head`
         return 0

@@ -26,12 +26,7 @@ from repro.core.intra import IntraAllocator
 from repro.core.sra import allocate_symmetric
 from repro.core.assign import RegisterAssignment, assign_physical
 from repro.core.rewrite import rewrite_program
-from repro.core.pipeline import (
-    AllocationOutcome,
-    HybridOutcome,
-    allocate_programs,
-    allocate_with_spill_fallback,
-)
+from repro.core.pipeline import AllocationOutcome, allocate_programs
 
 __all__ = [
     "ThreadAnalysis",
@@ -50,6 +45,4 @@ __all__ = [
     "rewrite_program",
     "AllocationOutcome",
     "allocate_programs",
-    "HybridOutcome",
-    "allocate_with_spill_fallback",
 ]

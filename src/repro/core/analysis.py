@@ -155,7 +155,7 @@ class ThreadAnalysis:
         """
         index = self._conflict_pair_index
         if index is None:
-            dense = getattr(self, "dense", None)
+            dense = self.dense
             if dense is not None:
                 # Re-derived from the liveness masks in index space, so
                 # no per-pair str() or register hashing.
@@ -188,7 +188,7 @@ class ThreadAnalysis:
         """
         relation = self._conflict_neighbors
         if relation is None:
-            dense = getattr(self, "dense", None)
+            dense = self.dense
             if dense is not None:
                 relation = (dense.dmap.index, dense.conflict_neighbor_masks())
             else:
@@ -254,7 +254,7 @@ def _finish_analysis(program: Program, liveness: Liveness) -> ThreadAnalysis:
     """The bundle after liveness, built by the kernels that built it."""
     nsr = compute_nsr(liveness)
     graphs = build_interference(liveness, nsr)
-    if getattr(liveness, "_dense", None) is not None:
+    if liveness._dense is not None:
         from repro.core.dense import finish_analysis_dense
 
         return finish_analysis_dense(program, liveness, nsr, graphs)

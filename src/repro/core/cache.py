@@ -8,31 +8,22 @@ other threads on the PU.  Every experiment harness nevertheless used to
 recompute them per ``(kernel, nthd, nreg)`` sweep point -- by far the
 largest share of allocation wall time (see ``docs/PERFORMANCE.md``).
 
-This module memoizes both behind :meth:`Program.fingerprint`:
-
-* an in-process LRU (:class:`AnalysisCache`) shared by the whole
-  pipeline through :func:`get_cache`, the current context's cache
-  (:mod:`repro.scope`);
-* an optional on-disk layer (``REPRO_CACHE_DIR`` or ``--cache-dir``)
-  that persists pickled ``(analysis, bounds)`` pairs across processes,
-  keyed by the same fingerprint;
-* telemetry: ``cache.hit`` / ``cache.miss`` / ``cache.disk_error``
-  counters and events through :mod:`repro.obs` whenever a capture is
-  active, plus always-on plain counters in :class:`CacheStats` for
-  benchmarks and tests.
-
-The LRUs and the disk discipline are :mod:`repro.store`'s: an entry
-that does not decode to an analysis is quarantined and is a miss.
-Repeated disk failures take the ``cache.disk_to_memory`` degradation
-rung (``docs/ROBUSTNESS.md``), disabling the disk layer for this cache
-while the in-memory LRU keeps working.  ``repro chaos`` exercises the
-``cache.disk`` fault site and the dense-analysis fallback rung.
+This module memoizes both behind :meth:`Program.fingerprint` in an
+in-process LRU (:class:`AnalysisCache`, whose LRUs are
+:class:`repro.store.LRU`) shared by the whole pipeline through
+:func:`get_cache`, the current context's cache (:mod:`repro.scope`).
+Telemetry: ``cache.hit`` / ``cache.miss`` counters and events through
+:mod:`repro.obs` whenever a capture is active, plus always-on plain
+counters in :class:`CacheStats` for benchmarks and tests.  A miss runs
+the dense analysis behind the ``analysis.dense_to_reference``
+degradation rung (``docs/ROBUSTNESS.md``), which ``repro chaos``
+exercises through the ``analysis.dense`` fault site.
 
 The service's worker threads share the default cache.  Its own lock
 guards only :class:`CacheStats` and is never taken while an LRU's lock
-is held; no lock is held across an analysis, pickling or disk I/O, so
-two threads missing on one program may both analyse it; the second
-insert replaces the first with an equal entry.
+is held; no lock is held across an analysis, so two threads missing on
+one program may both analyse it; the second insert replaces the first
+with an equal entry.
 
 Cached values are shared objects: callers must treat a returned
 :class:`ThreadAnalysis` (and the ``coloring`` inside its
@@ -45,13 +36,10 @@ the LRU.
 
 from __future__ import annotations
 
-import os
-import pathlib
-import pickle
 import threading
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
-from typing import Any, ContextManager, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, ContextManager, Dict, Optional, Sequence, Tuple
 
 from repro import store
 from repro.core.analysis import (
@@ -67,18 +55,11 @@ from repro.obs import metrics as obs_metrics
 from repro.resilience import faults, guard
 from repro.scope import bind
 
-#: Environment variable naming the on-disk cache directory.
-ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
 #: Default in-process LRU capacity (entries, i.e. distinct programs).
 DEFAULT_CAPACITY = 128
 
 #: Default capacity of the descent-trajectory LRU (distinct thread mixes).
 DEFAULT_DESCENT_CAPACITY = 16
-
-#: Consecutive disk-layer failures tolerated before the cache takes the
-#: ``cache.disk_to_memory`` degradation rung and disables its disk dir.
-DEFAULT_MAX_DISK_ERRORS = 4
 
 
 @dataclass
@@ -87,8 +68,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    disk_hits: int = 0
-    disk_errors: int = 0
     evictions: int = 0
     descent_hits: int = 0
     descent_misses: int = 0
@@ -137,38 +116,25 @@ class AnalysisCache:
     def __init__(
         self,
         capacity: int = DEFAULT_CAPACITY,
-        cache_dir: Optional[Union[str, pathlib.Path]] = None,
-        max_disk_errors: int = DEFAULT_MAX_DISK_ERRORS,
         descent_capacity: int = DEFAULT_DESCENT_CAPACITY,
     ):
         self._entries = store.LRU(capacity)
-        # Descent trajectories are memory-only: a SharedDescent holds
-        # live AllocContext graphs whose pickled form would dwarf the
-        # analysis entries, and rebuilding one is itself served by the
-        # (possibly disk-backed) analysis entries above.
         self._descents = store.LRU(descent_capacity)
-        if cache_dir is None:
-            cache_dir = os.environ.get(ENV_CACHE_DIR) or None
-        self.cache_dir = pathlib.Path(cache_dir) if cache_dir else None
-        self.max_disk_errors = max_disk_errors
         self.stats = CacheStats()
         self._lock = threading.Lock()
-        self._disk_error_streak = 0
 
     # ------------------------------------------------------------------
     # Public API.
     # ------------------------------------------------------------------
     def analyze(self, program: Program) -> ThreadAnalysis:
         """Memoized :func:`analyze_thread` (treat the result as immutable)."""
-        return self._entry(program.fingerprint(), program).analysis
+        return self._entry(program).analysis
 
     def bounds(self, program: Program) -> Bounds:
         """Memoized :func:`estimate_bounds` of the program's analysis."""
-        fp = program.fingerprint()
-        entry = self._entry(fp, program)
+        entry = self._entry(program)
         if entry.bounds is None:
             entry.bounds = estimate_bounds(entry.analysis)
-            self._disk_store(fp, entry)
         return entry.bounds
 
     def analyze_with_bounds(
@@ -209,7 +175,7 @@ class AnalysisCache:
         return descent
 
     def clear(self) -> None:
-        """Drop every in-memory entry (the disk layer is left alone)."""
+        """Drop every entry."""
         self._entries.clear()
         self._descents.clear()
 
@@ -239,27 +205,19 @@ class AnalysisCache:
             if kernel is not None:
                 reg.counter(event, kernel=kernel).inc()
 
-    def _entry(self, fp: str, program: Program) -> _Entry:
+    def _entry(self, program: Program) -> _Entry:
+        fp = program.fingerprint()
         entry = self._entries.get(fp)
         if entry is not None:
             with self._lock:
                 self.stats.hits += 1
             self._note("cache.hit", fp, program.name)
             return entry
-        entry = self._disk_load(fp)
-        if entry is not None:
-            with self._lock:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
-            self._note("cache.hit", fp, program.name)
-            self._put(self._entries, fp, entry)
-            return entry
         with self._lock:
             self.stats.misses += 1
         self._note("cache.miss", fp, program.name)
         entry = _Entry(_analyze_resilient(program), None)
         self._put(self._entries, fp, entry)
-        self._disk_store(fp, entry)
         return entry
 
     def _put(self, lru: store.LRU, key: Any, value: Any) -> None:
@@ -267,75 +225,6 @@ class AnalysisCache:
         if evicted:
             with self._lock:
                 self.stats.evictions += evicted
-
-    # ------------------------------------------------------------------
-    # On-disk layer.
-    # ------------------------------------------------------------------
-    def _disk_fail(self, fp: str, exc: BaseException, action: str) -> None:
-        """Count a disk-layer failure; degrade to memory-only if they
-        keep coming (the ``cache.disk_to_memory`` rung)."""
-        with self._lock:
-            self.stats.disk_errors += 1
-            self._disk_error_streak += 1
-        em = obs.get_emitter()
-        if em.enabled:
-            em.emit(
-                "cache.disk_error",
-                fingerprint=fp[:12],
-                error=f"{type(exc).__name__}: {exc}",
-                action=action,
-            )
-            obs_metrics.registry().counter("cache.disk_error").inc()
-        if (
-            self.cache_dir is not None
-            and self._disk_error_streak >= self.max_disk_errors
-        ):
-            guard.record_degradation(
-                "cache.disk_to_memory",
-                reason=f"{self._disk_error_streak} consecutive disk-cache "
-                f"failures (last: {type(exc).__name__}: {exc})",
-                cache_dir=str(self.cache_dir),
-            )
-            self.cache_dir = None
-
-    def _disk_load(self, fp: str) -> Optional[_Entry]:
-        path = store.entry_path(self.cache_dir, fp, ".pkl")
-        if path is None:
-            return None
-        spec = faults.fire("cache.disk", fingerprint=fp[:12])
-        if spec is not None:
-            store.damage(path, spec.mode)
-        try:
-            pair = store.read(path, _decode)
-        except store.Rejected as exc:
-            self._disk_fail(fp, exc.cause, exc.action)
-            return None
-        except OSError as exc:
-            self._disk_fail(fp, exc, "left-in-place")
-            return None
-        if pair is None:
-            return None
-        self._disk_error_streak = 0
-        return _Entry(*pair)
-
-    def _disk_store(self, fp: str, entry: _Entry) -> None:
-        path = store.entry_path(self.cache_dir, fp, ".pkl")
-        if path is None:
-            return
-        pair = (entry.analysis, entry.bounds)
-        try:
-            store.write(path, pickle.dumps(pair, pickle.HIGHEST_PROTOCOL))
-        except OSError as exc:
-            self._disk_fail(fp, exc, "store-failed")
-        else:
-            self._disk_error_streak = 0
-
-
-def _decode(data: bytes) -> Tuple[ThreadAnalysis, Optional[Bounds]]:
-    analysis, bounds = pickle.loads(data)
-    if not isinstance(analysis, ThreadAnalysis):
-        raise TypeError(f"unexpected payload {type(analysis).__name__}")
-    return analysis, bounds
 
 
 _cache = ContextVar("repro.core.cache", default=AnalysisCache())

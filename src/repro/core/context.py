@@ -187,7 +187,7 @@ class AllocContext:
         conflict masks; the reference sweep below walks the conflict pairs
         directly.  Both produce the same entries, piece order included.
         """
-        dense = getattr(self.analysis, "dense", None)
+        dense = self.analysis.dense
         if dense is not None:
             return self._conflict_profile_dense(piece, dense)
         by_color: Dict[int, ProfileEntry] = {}
@@ -314,7 +314,7 @@ class AllocContext:
         conflict masks and stops at the first clashing piece instead of
         collecting witnesses.
         """
-        dense = getattr(self.analysis, "dense", None)
+        dense = self.analysis.dense
         if dense is None:
             return bool(self.conflicts_with_color(piece, color))
         return any(
@@ -329,7 +329,7 @@ class AllocContext:
         test membership: the dense path collects the colors straight from
         the conflict masks, with no entry lists and no sort.
         """
-        dense = getattr(self.analysis, "dense", None)
+        dense = self.analysis.dense
         if dense is None:
             return set(self.conflict_profile(piece))
         return {other.color for other in self._dense_conflicting(piece, dense)}

@@ -569,8 +569,7 @@ class IntraAllocator:
         slot maps to the far endpoint of every edge incident to it.
 
         A self-loop ``(s, s)`` (a one-instruction loop) is listed once.
-        Kept on the allocator rather than the analysis, whose pickles the
-        AnalysisCache disk layer stores.
+        Kept on the allocator: only its probes read the index.
         """
         index = self._flow_index.get(reg)
         if index is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.core.analysis import ThreadAnalysis
@@ -20,7 +20,7 @@ from repro.core.assign import RegisterAssignment, assign_physical
 from repro.core.cache import get_cache
 from repro.core.inter import InterThreadResult, allocate_threads
 from repro.core.rewrite import rewrite_program
-from repro.errors import AllocationError, TransientError
+from repro.errors import TransientError
 from repro.ir.program import Program
 from repro.ir.validate import validate_program
 from repro.obs import events as obs
@@ -118,8 +118,8 @@ def allocate_programs(
 
     Analysis and bounds are memoized per program content through
     :func:`repro.core.cache.get_cache`; repeated allocations of the
-    same thread programs (sweeps over ``nreg``, spill-fallback retries)
-    skip straight to the inter-thread phase.  Transient analysis
+    same thread programs (sweeps over ``nreg``) skip straight to the
+    inter-thread phase.  Transient analysis
     failures are retried a bounded number of times
     (:func:`repro.resilience.guard.retry_transient`) before surfacing.
     """
@@ -165,11 +165,7 @@ def allocate_programs(
 
 
 def allocate_programs_sweep(
-    programs: Sequence[Program],
-    budgets: Sequence[int],
-    check_init: bool = True,
-    policy: str = "greedy",
-    deadline: Optional[Deadline] = None,
+    programs: Sequence[Program], budgets: Sequence[int]
 ) -> Dict[int, AllocationOutcome]:
     """Allocate one PU's threads at EVERY budget in one shared descent.
 
@@ -186,8 +182,7 @@ def allocate_programs_sweep(
 
     Returns a dict keyed by budget, in the (deduplicated) order given.
     The whole call runs under one ``alloc.descent`` span with an
-    ``alloc.descent_budget`` event per materialized budget; the deadline
-    is checked at every phase boundary and between budgets.
+    ``alloc.descent_budget`` event per materialized budget.
 
     Raises:
         AllocationError: some budget is infeasible even at the threads'
@@ -204,28 +199,23 @@ def allocate_programs_sweep(
         "alloc.descent",
         threads=len(programs),
         budgets=sorted(wanted, reverse=True),
-        policy=policy,
+        policy="greedy",
     ):
-        dl.check(deadline, "validate")
         with _phase(em, "validate"):
             for program in programs:
-                validate_program(program, check_init=check_init)
-        dl.check(deadline, "analyze")
+                validate_program(program)
         with _phase(em, "analyze"):
             analyses = guard.retry_transient(
                 lambda: _analyze_all(cache, programs),
                 label="pipeline.analyze",
             )
-        dl.check(deadline, "bounds")
         with _phase(em, "bounds"):
             for program in programs:
                 cache.bounds(program)
-        dl.check(deadline, "descent")
         inters: Dict[int, InterThreadResult] = {}
         with _phase(em, "descent"):
-            descent = cache.descent(programs, policy=policy)
+            descent = cache.descent(programs)
             for nreg in sorted(wanted, reverse=True):
-                dl.check(deadline, f"descent@{nreg}")
                 inter = descent.result(nreg)
                 inters[nreg] = inter
                 if em.enabled:
@@ -238,10 +228,8 @@ def allocate_programs_sweep(
                     )
         for nreg in wanted:
             inter = inters[nreg]
-            dl.check(deadline, f"assign@{nreg}")
             with _phase(em, "assign", nreg=nreg):
                 assignment = assign_physical(inter)
-            dl.check(deadline, f"rewrite@{nreg}")
             with _phase(em, "rewrite", nreg=nreg):
                 rewritten = [
                     rewrite_program(t.analysis, t.context, m)
@@ -257,105 +245,3 @@ def allocate_programs_sweep(
                 assignment=assignment,
             )
     return outcomes
-
-
-@dataclass
-class HybridOutcome:
-    """Result of :func:`allocate_with_spill_fallback`.
-
-    ``spilled_per_thread`` maps thread index -> number of values the
-    pre-spill pass pushed to memory (empty when no spilling was needed,
-    in which case the result equals a plain :func:`allocate_programs`).
-    """
-
-    outcome: AllocationOutcome
-    spilled_per_thread: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def total_spilled(self) -> int:
-        return sum(self.spilled_per_thread.values())
-
-
-def allocate_with_spill_fallback(
-    programs: Sequence[Program],
-    nreg: int,
-    check_init: bool = True,
-    max_spill_rounds: int = 16,
-    deadline: Optional[Deadline] = None,
-) -> HybridOutcome:
-    """Cross-thread allocation with graceful degradation.
-
-    When even the lower bounds of the threads exceed ``nreg`` (the plain
-    pipeline raises :class:`AllocationError`), the hungriest thread is
-    pre-spilled -- Chaitin-style spill code lowers its register pressure
-    while the program stays in virtual registers -- and allocation is
-    retried: the ``alloc.greedy_to_spill`` rung of the degradation
-    ladder.  Spills go to per-thread scratch areas; each spill access
-    costs a memory trip, so this is strictly a fallback, but every input
-    that a 3-registers-per-instruction machine can run at all eventually
-    fits.  Error messages name the *original* thread program (spill
-    rounds rewrite ``current[idx]``) and the failing round.
-    """
-    from repro.baseline.chaitin import (
-        DEFAULT_SPILL_BASE,
-        spill_until_colorable,
-    )
-    from repro.baseline.single_thread import SPILL_AREA_STRIDE
-
-    cache = get_cache()
-    current = [p.copy() for p in programs]
-    original_names = [p.name for p in programs]
-    spilled: Dict[int, int] = {}
-    for round_no in range(1, max_spill_rounds + 1):
-        dl.check(deadline, f"spill-round-{round_no}")
-        try:
-            outcome = allocate_programs(
-                current,
-                nreg,
-                check_init=check_init,
-                deadline=deadline,
-            )
-            return HybridOutcome(outcome=outcome, spilled_per_thread=spilled)
-        except AllocationError:
-            pass
-        # The failed allocate_programs call above already populated the
-        # cache, so only threads rewritten by a previous spill round pay
-        # for re-analysis here.
-        bounds = [cache.bounds(p) for p in current]
-        # Relieve the thread with the largest private-register floor.
-        idx = max(range(len(current)), key=lambda i: bounds[i].min_pr)
-        target = max(bounds[idx].min_r - 2, 3)
-        if target >= bounds[idx].min_r:
-            raise AllocationError(
-                f"cannot reduce {original_names[idx]} below "
-                f"{bounds[idx].min_r} registers "
-                f"(spill round {round_no}/{max_spill_rounds})"
-            )
-        guard.record_degradation(
-            "alloc.greedy_to_spill",
-            reason=f"nreg={nreg} infeasible; pre-spilling "
-            f"{original_names[idx]} toward {target} registers",
-            thread=idx,
-            round=round_no,
-        )
-        virtual, _, stats = spill_until_colorable(
-            current[idx],
-            target,
-            spill_base=DEFAULT_SPILL_BASE + idx * SPILL_AREA_STRIDE,
-        )
-        # Check progress against THIS round's spill stats before folding
-        # them into the running total -- reading ``spilled[idx]`` after
-        # the update would see the previous rounds' work and miss a
-        # round that spilled nothing.
-        if not stats.spilled:
-            raise AllocationError(
-                f"spill fallback made no progress on {original_names[idx]} "
-                f"in round {round_no}/{max_spill_rounds}"
-            )
-        current[idx] = virtual
-        spilled[idx] = spilled.get(idx, 0) + len(set(stats.spilled))
-    raise AllocationError(
-        f"spill fallback did not converge in {max_spill_rounds} rounds "
-        f"(threads spilled so far: "
-        f"{ {original_names[i]: n for i, n in sorted(spilled.items())} })"
-    )

@@ -78,8 +78,7 @@ class _Ctx:
     """Everything a scenario body needs."""
 
     programs: List[Program]
-    nreg: int
-    tmp_dir: Optional[str] = None
+    tmp_dir: str
 
 
 @dataclass
@@ -140,20 +139,7 @@ class ChaosReport:
 def _body_alloc_verify(ctx: _Ctx) -> None:
     """Allocate and strictly verify (faults in the pipeline/analysis
     sites fire inside ``allocate_programs``)."""
-    outcome = allocate_programs(ctx.programs, ctx.nreg)
-    verify_outcome(outcome, packets_per_thread=CHAOS_PACKETS)
-
-
-def _body_cache(ctx: _Ctx) -> None:
-    """Warm the disk cache, drop the memory layer, reload through the
-    armed ``cache.disk`` fault, then verify the re-allocation."""
-    import pathlib
-
-    cache = cache_mod.get_cache()
-    cache.cache_dir = pathlib.Path(ctx.tmp_dir)
-    allocate_programs(ctx.programs, ctx.nreg)
-    cache.clear()  # force the next analyze through the disk layer
-    outcome = allocate_programs(ctx.programs, ctx.nreg)
+    outcome = allocate_programs(ctx.programs, CHAOS_NREG)
     verify_outcome(outcome, packets_per_thread=CHAOS_PACKETS)
 
 
@@ -163,18 +149,18 @@ def _body_sim(ctx: _Ctx) -> None:
     from repro.sim.run import outputs_match, run_reference, run_threads
 
     with faults.suspended():
-        outcome = allocate_programs(ctx.programs, ctx.nreg)
+        outcome = allocate_programs(ctx.programs, CHAOS_NREG)
         oracle = run_reference(
             outcome.source_programs,
             packets_per_thread=CHAOS_PACKETS,
-            nreg=ctx.nreg,
+            nreg=CHAOS_NREG,
             engine="reference",
             max_cycles=CHAOS_MAX_CYCLES,
         )
     allocated = run_threads(
         outcome.programs,
         packets_per_thread=CHAOS_PACKETS,
-        nreg=ctx.nreg,
+        nreg=CHAOS_NREG,
         assignment=outcome.assignment,
         engine="reference",
         max_cycles=CHAOS_MAX_CYCLES,
@@ -238,7 +224,7 @@ def _body_service_handler(ctx: _Ctx) -> None:
     core = ServiceCore(ServiceConfig(workers=1, queue_depth=4))
     core.start()
     try:
-        doc = _service_doc(ctx, ctx.nreg)
+        doc = _service_doc(ctx, CHAOS_NREG)
         status, envelope = core.submit(doc)
         if status != 500 or envelope["error"]["type"] != "InjectedFault":
             raise InjectedFault(
@@ -251,7 +237,7 @@ def _body_service_handler(ctx: _Ctx) -> None:
                 f"retry after the handler fault failed: "
                 f"{envelope['error']}"
             )
-        if envelope["result"] != _service_expected(ctx, ctx.nreg):
+        if envelope["result"] != _service_expected(ctx, CHAOS_NREG):
             raise InjectedFault(
                 "service payload diverged from the direct pipeline call"
             )
@@ -273,7 +259,7 @@ def _body_service_store(ctx: _Ctx) -> None:
     )
     core.start()
     try:
-        doc = _service_doc(ctx, ctx.nreg)
+        doc = _service_doc(ctx, CHAOS_NREG)
         status, envelope = core.submit(doc)
         if status != 200:
             raise InjectedFault(
@@ -286,7 +272,7 @@ def _body_service_store(ctx: _Ctx) -> None:
             raise InjectedFault(
                 "memory overlay did not cover the failed disk write"
             )
-        if envelope["result"] != _service_expected(ctx, ctx.nreg):
+        if envelope["result"] != _service_expected(ctx, CHAOS_NREG):
             raise InjectedFault(
                 "service payload diverged from the direct pipeline call"
             )
@@ -318,7 +304,7 @@ def _body_service_breaker(ctx: _Ctx) -> None:
     try:
         # Distinct budgets -> distinct keys -> one store write each
         # (growing, so every budget stays feasible).
-        for nreg in (ctx.nreg, ctx.nreg + 8):
+        for nreg in (CHAOS_NREG, CHAOS_NREG + 8):
             status, envelope = core.submit(_service_doc(ctx, nreg))
             if status != 200:
                 raise InjectedFault(
@@ -331,7 +317,7 @@ def _body_service_breaker(ctx: _Ctx) -> None:
                 f"failures (state: {core.breakers['store'].state})"
             )
         clk["t"] += 6.0  # past the cooldown: next call is the probe
-        status, envelope = core.submit(_service_doc(ctx, ctx.nreg + 16))
+        status, envelope = core.submit(_service_doc(ctx, CHAOS_NREG + 16))
         if status != 200:
             raise InjectedFault(
                 f"half-open probe request failed: {envelope['error']}"
@@ -345,7 +331,7 @@ def _body_service_breaker(ctx: _Ctx) -> None:
             raise InjectedFault(
                 "recovered store never persisted an entry to disk"
             )
-        if envelope["result"] != _service_expected(ctx, ctx.nreg + 16):
+        if envelope["result"] != _service_expected(ctx, CHAOS_NREG + 16):
             raise InjectedFault(
                 "service payload diverged from the direct pipeline call"
             )
@@ -383,22 +369,6 @@ SCENARIOS: Tuple[Scenario, ...] = (
         specs=(FaultSpec("analysis.dense", mode="error", count=1),),
         expect="masked",
         body=_body_alloc_verify,
-    ),
-    Scenario(
-        name="cache-corrupt",
-        description="corrupted disk cache entry is quarantined and "
-        "recomputed",
-        specs=(FaultSpec("cache.disk", mode="corrupt", count=1),),
-        expect="masked",
-        body=_body_cache,
-    ),
-    Scenario(
-        name="cache-truncate",
-        description="truncated disk cache entry is quarantined and "
-        "recomputed",
-        specs=(FaultSpec("cache.disk", mode="truncate", count=1),),
-        expect="masked",
-        body=_body_cache,
     ),
     Scenario(
         name="sim-stuck",
@@ -475,10 +445,7 @@ def _scenario_seed(base: int, scenario: str, kernel: str) -> int:
 
 
 def run_scenario(
-    scenario: Scenario,
-    kernel: str,
-    seed: int = 0,
-    nreg: int = CHAOS_NREG,
+    scenario: Scenario, kernel: str, seed: int = 0
 ) -> ScenarioResult:
     """Run one scenario against a two-thread PU of ``kernel`` copies."""
     import tempfile
@@ -493,7 +460,7 @@ def run_scenario(
         outcome="clean",
     )
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        ctx = _Ctx(programs=programs, nreg=nreg, tmp_dir=tmp)
+        ctx = _Ctx(programs=programs, tmp_dir=tmp)
         # Fresh cache per scenario: earlier scenarios must not have
         # pre-warmed the fingerprints this one wants to fault on.
         with cache_mod.scoped(), guard.watching() as degs:
@@ -520,7 +487,6 @@ def run_chaos(
     kernels: Sequence[str] = ("crc", "frag", "md5"),
     scenarios: Optional[Sequence[str]] = None,
     seed: int = 0,
-    nreg: int = CHAOS_NREG,
 ) -> ChaosReport:
     """Sweep ``scenarios`` (default: all) over ``kernels``."""
     chosen: List[Scenario] = []
@@ -533,7 +499,7 @@ def run_chaos(
     for scenario in chosen:
         targets = ["-"] if scenario.name in _KERNEL_FREE else list(kernels)
         for kernel in targets:
-            results.append(run_scenario(scenario, kernel, seed=seed, nreg=nreg))
+            results.append(run_scenario(scenario, kernel, seed=seed))
     return ChaosReport(results=results, seed=seed)
 
 

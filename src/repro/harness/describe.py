@@ -7,9 +7,7 @@ helpers render a thread's analysis as monospace text:
   instruction; ``=`` marks occupied slots, ``|`` marks CSB columns, ``B``
   flags boundary ranges;
 * :func:`nsr_map` -- the program listing annotated with its non-switch
-  region ids and CSB markers;
-* :func:`allocation_report` -- per-thread piece/color/register table for
-  a finished allocation.
+  region ids and CSB markers.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.analysis import ThreadAnalysis
-from repro.core.pipeline import AllocationOutcome
 from repro.ir.printer import format_instruction
 
 
@@ -69,28 +66,3 @@ def nsr_map(analysis: ThreadAnalysis) -> str:
             lines.append(labels.rstrip("\n"))
         lines.append(f"  {i:3} [{tag}] {format_instruction(instr)}")
     return "\n".join(lines)
-
-
-def allocation_report(outcome: AllocationOutcome) -> str:
-    """Pieces, colors and physical registers for every allocated thread."""
-    blocks: List[str] = [outcome.summary(), ""]
-    for alloc, regmap in zip(outcome.inter.threads, outcome.assignment.maps):
-        blocks.append(f"-- {alloc.name} --")
-        ctx = alloc.context
-        for reg in ctx.analysis.all_regs:
-            pieces = ctx.pieces_of(reg)
-            parts = []
-            for piece in pieces:
-                span = (
-                    f"{min(piece.slots)}..{max(piece.slots)}"
-                    if piece.slots
-                    else "-"
-                )
-                kind = "priv" if piece.color < ctx.pr else "shared"
-                parts.append(
-                    f"[{span}] c{piece.color} {kind} "
-                    f"-> {regmap.phys(piece.color)}"
-                )
-            blocks.append(f"  {str(reg):14} " + "  ".join(parts))
-        blocks.append("")
-    return "\n".join(blocks)

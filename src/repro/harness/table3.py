@@ -18,7 +18,7 @@ for the register-hungry threads, only 1-4% slowdown for the donors.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.baseline.single_thread import allocate_pu_baseline
 from repro.core.pipeline import allocate_programs
@@ -78,7 +78,6 @@ def run_scenario(
     names: Sequence[str],
     nreg: int = 128,
     packets: int = 16,
-    verify: bool = True,
 ) -> Table3Scenario:
     """Run one ARA scenario end to end (allocate, simulate, compare)."""
     programs = [load(n) for n in names]
@@ -103,22 +102,20 @@ def run_scenario(
         assignment=shared.assignment,
         measure_iterations=measure,
     )
-    verified = True
-    if verify:
-        few = max(4, packets // 4)
-        ref = run_reference(programs, packets_per_thread=few)
-        full_share = run_threads(
-            shared.programs,
-            packets_per_thread=few,
-            nreg=nreg,
-            assignment=shared.assignment,
-        )
-        full_spill = run_threads(
-            baseline.programs, packets_per_thread=few, nreg=nreg
-        )
-        verified = outputs_match(ref, full_share) and outputs_match(
-            ref, full_spill
-        )
+    few = max(4, packets // 4)
+    ref = run_reference(programs, packets_per_thread=few)
+    full_share = run_threads(
+        shared.programs,
+        packets_per_thread=few,
+        nreg=nreg,
+        assignment=shared.assignment,
+    )
+    full_spill = run_threads(
+        baseline.programs, packets_per_thread=few, nreg=nreg
+    )
+    verified = outputs_match(ref, full_share) and outputs_match(
+        ref, full_spill
+    )
 
     threads: List[Table3Thread] = []
     for tid, name in enumerate(names):
@@ -143,18 +140,12 @@ def run_scenario(
     )
 
 
-def run_table3(
-    scenarios: Optional[Dict[str, Tuple[str, ...]]] = None,
-    nreg: int = 128,
-    packets: int = 16,
-    verify: bool = True,
-    jobs: int = 1,
-) -> List[Table3Scenario]:
-    """Run every Table-3 scenario (all three by default)."""
+def run_table3(packets: int = 16, jobs: int = 1) -> List[Table3Scenario]:
+    """Run the three Table-3 scenarios."""
     check_serial(jobs)
     return [
-        run_scenario(label, names, nreg=nreg, packets=packets, verify=verify)
-        for label, names in (scenarios or SCENARIOS).items()
+        run_scenario(label, names, packets=packets)
+        for label, names in SCENARIOS.items()
     ]
 
 

@@ -6,22 +6,23 @@ deterministic by sorting on ``str(node)``, so colorings and the allocation
 pipeline built on top are exactly reproducible run to run.
 
 The sorted views (:meth:`nodes`, :meth:`edges`, :meth:`neighbors`) are
-memoized against a mutation version counter: the intra-thread allocator
-re-walks the same graphs thousands of times per probe, and re-sorting an
-unchanged adjacency set on every call dominated its profile.  Mutators
-bump the version only when they actually change the graph (re-adding an
-existing node or edge is free), and every cached list is returned as-is
--- callers must not mutate the returned lists, which no caller does.
+memoized against a mutation version counter, so repeated queries of an
+unchanged graph do not re-sort its adjacency sets.  Mutators bump the
+version only when they actually change the graph (re-adding an existing
+node or edge is free), and every cached list is returned as-is --
+callers must not mutate the returned lists, which no caller does.
 
 :meth:`dense_view` exposes the same adjacency as a
 :class:`DenseAdjacency`: nodes renumbered to contiguous ints (in the
 sorted-node order, so bit order matches ``str`` order) with one big-int
 neighbor bitmask per node, which the coloring heuristics walk instead of
-per-node Python sets.  The production paths build no graph at all: the
-dense analysis kernels (:mod:`repro.core.dense`) keep each interference
-graph as neighbor masks over register ranks
+per-node Python sets.  No workload builds a graph: the dense analysis
+kernels (:mod:`repro.core.dense`) keep each interference graph as
+neighbor masks over register ranks
 (:class:`~repro.igraph.interference.InterferenceMasks`), and the Figure-7
-merge and the Chaitin baseline color those masks directly.
+merge and the Chaitin baseline color those masks directly.  Graphs are
+built by the set-based reference analysis, and from the masks for the
+analysis digest and the tests.
 """
 
 from __future__ import annotations

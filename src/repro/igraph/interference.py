@@ -85,7 +85,7 @@ class InterferenceGraphs:
     """
 
     #: The dense construction's payload; ``None`` on reference-built
-    #: graphs and on analyses pickled before the payload existed.
+    #: graphs.
     masks: Optional[InterferenceMasks] = None
 
     def __init__(
@@ -130,7 +130,7 @@ def build_interference(liveness: Liveness, nsr: NsrInfo) -> InterferenceGraphs:
     analysis kernels, see :mod:`repro.core.dense`) routes to the
     adjacency-bitset builder; results are bit-identical either way.
     """
-    if getattr(liveness, "_dense", None) is not None:
+    if liveness._dense is not None:
         from repro.core.dense import build_interference_dense
 
         return build_interference_dense(liveness, nsr)

@@ -114,14 +114,6 @@ class OpSpec:
         """True when the instruction is a context-switch boundary."""
         return self.is_memory or self.is_ctx
 
-    @property
-    def n_defs(self) -> int:
-        return sum(1 for r in self.signature if r == D)
-
-    @property
-    def n_uses(self) -> int:
-        return sum(1 for r in self.signature if r == U)
-
 
 def _alu_rr() -> OpSpec:
     return OpSpec(signature=(D, U, U))

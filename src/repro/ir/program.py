@@ -41,13 +41,6 @@ class Program:
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instrs)
 
-    def label_at(self, index: int) -> Optional[str]:
-        """Return a label attached to ``index``, or None."""
-        for name, i in self.labels.items():
-            if i == index:
-                return name
-        return None
-
     def labels_at(self, index: int) -> List[str]:
         """Return all labels attached to ``index`` (sorted for determinism)."""
         return sorted(name for name, i in self.labels.items() if i == index)
@@ -151,25 +144,6 @@ class Program:
     def count_csb(self) -> int:
         """Number of context-switch-boundary instructions."""
         return sum(1 for instr in self.instrs if instr.is_csb)
-
-    def fresh_label(self, stem: str) -> str:
-        """Return a label name based on ``stem`` not yet used in the program."""
-        if stem not in self.labels:
-            return stem
-        i = 1
-        while f"{stem}.{i}" in self.labels:
-            i += 1
-        return f"{stem}.{i}"
-
-    def fresh_vreg(self, stem: str) -> VirtualReg:
-        """Return a virtual register named after ``stem`` not yet referenced."""
-        existing = {r.name for r in self.virtual_regs()}
-        if stem not in existing:
-            return VirtualReg(stem)
-        i = 1
-        while f"{stem}.{i}" in existing:
-            i += 1
-        return VirtualReg(f"{stem}.{i}")
 
     def copy(self) -> "Program":
         """Return a shallow-ish copy safe to mutate structurally."""

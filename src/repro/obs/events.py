@@ -220,11 +220,11 @@ def span(name: str, **fields: Any):
     return _current.get().span(name, **fields)
 
 
-def capture(emitter: Optional[Emitter] = None) -> ContextManager[Emitter]:
-    """Bind a (fresh by default) emitter for the duration of the block.
+def capture() -> ContextManager[Emitter]:
+    """Bind a fresh emitter for the duration of the block.
 
     The binding covers this thread and the service jobs it submits, and
     the previous emitter is restored on exit, even on error, so captures
     nest and never leak into unrelated code (:mod:`repro.scope`).
     """
-    return bind(_current, emitter if emitter is not None else Emitter())
+    return bind(_current, Emitter())

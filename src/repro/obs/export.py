@@ -54,13 +54,12 @@ def to_jsonable(obj: Any) -> Any:
     return str(obj)
 
 
-def write_json(path: PathLike, payload: Any, indent: int = 2) -> pathlib.Path:
-    """Write ``payload`` as pretty-printed strict JSON; returns the path."""
+def write_json(path: PathLike, payload: Any) -> pathlib.Path:
+    """Write ``payload`` as strict JSON indented by 2; returns the path."""
     out = pathlib.Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(
-        json.dumps(to_jsonable(payload), indent=indent, allow_nan=False)
-        + "\n"
+        json.dumps(to_jsonable(payload), indent=2, allow_nan=False) + "\n"
     )
     return out
 
@@ -87,12 +86,13 @@ def write_jsonl(
 _PROM_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def prom_name(name: str, prefix: str = "repro_") -> str:
-    """A dotted metric name as a valid Prometheus metric name."""
+def prom_name(name: str) -> str:
+    """A dotted metric name as a valid Prometheus metric name, under
+    the ``repro_`` prefix."""
     sanitized = _PROM_BAD_CHARS.sub("_", name)
     if sanitized and sanitized[0].isdigit():
         sanitized = "_" + sanitized
-    return prefix + sanitized
+    return "repro_" + sanitized
 
 
 def _prom_value(value: Any) -> str:
@@ -120,11 +120,11 @@ def _prom_labels(pairs, extra: Iterable = ()) -> str:
     return "{" + ",".join(f'{k}="{esc(str(v))}"' for k, v in items) + "}"
 
 
-def to_prometheus(snapshot: Mapping[str, Any], prefix: str = "repro_") -> str:
+def to_prometheus(snapshot: Mapping[str, Any]) -> str:
     """Render a :meth:`MetricsRegistry.snapshot` document as Prometheus
     text exposition format (version 0.0.4).
 
-    Dotted names become underscore names under ``prefix``
+    Dotted names become underscore names under the ``repro_`` prefix
     (``inter.steps`` -> ``repro_inter_steps``); labeled series keep
     their labels.  Histograms are expanded the standard way: cumulative
     ``_bucket`` series with ``le`` upper bounds (``+Inf`` included),
@@ -138,7 +138,7 @@ def to_prometheus(snapshot: Mapping[str, Any], prefix: str = "repro_") -> str:
     families: Dict[str, List[str]] = {}
 
     def family(name: str, kind: str) -> List[str]:
-        pname = prom_name(name, prefix)
+        pname = prom_name(name)
         block = families.get(pname)
         if block is None:
             block = families[pname] = [f"# TYPE {pname} {kind}"]
@@ -146,19 +146,19 @@ def to_prometheus(snapshot: Mapping[str, Any], prefix: str = "repro_") -> str:
 
     for key, value in snapshot.get("counters", {}).items():
         name, pairs = parse_key(key)
-        pname = prom_name(name, prefix)
+        pname = prom_name(name)
         family(name, "counter").append(
             f"{pname}{_prom_labels(pairs)} {_prom_value(value)}"
         )
     for key, value in snapshot.get("gauges", {}).items():
         name, pairs = parse_key(key)
-        pname = prom_name(name, prefix)
+        pname = prom_name(name)
         family(name, "gauge").append(
             f"{pname}{_prom_labels(pairs)} {_prom_value(value)}"
         )
     for key, hist in snapshot.get("histograms", {}).items():
         name, pairs = parse_key(key)
-        pname = prom_name(name, prefix)
+        pname = prom_name(name)
         block = family(name, "histogram")
         cumulative = 0
         for bound, count in hist["buckets"].items():
@@ -180,17 +180,18 @@ def to_prometheus(snapshot: Mapping[str, Any], prefix: str = "repro_") -> str:
 
 
 def write_prometheus(
-    path: PathLike, snapshot: Mapping[str, Any], prefix: str = "repro_"
+    path: PathLike, snapshot: Mapping[str, Any]
 ) -> pathlib.Path:
     """Write :func:`to_prometheus` output to ``path``; returns the path."""
     out = pathlib.Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(to_prometheus(snapshot, prefix))
+    out.write_text(to_prometheus(snapshot))
     return out
 
 
-def to_chrome_trace(emitter: Any, pid: int = 1, tid: int = 1) -> Dict[str, Any]:
-    """The captured event log as a Chrome trace-event document.
+def to_chrome_trace(emitter: Any) -> Dict[str, Any]:
+    """The captured event log as a Chrome trace-event document, every
+    record on pid 1 and tid 1.
 
     Spans become complete (``"ph": "X"``) events with microsecond
     ``ts``/``dur``; point events become thread-scoped instants
@@ -205,8 +206,8 @@ def to_chrome_trace(emitter: Any, pid: int = 1, tid: int = 1) -> Dict[str, Any]:
             "name": e.name,
             "cat": e.span if e.span else "top",
             "ts": round(e.ts * 1e6, 3),
-            "pid": pid,
-            "tid": tid,
+            "pid": 1,
+            "tid": 1,
         }
         if e.kind == "span":
             record["ph"] = "X"
@@ -221,11 +222,9 @@ def to_chrome_trace(emitter: Any, pid: int = 1, tid: int = 1) -> Dict[str, Any]:
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(
-    path: PathLike, emitter: Any, pid: int = 1, tid: int = 1
-) -> pathlib.Path:
+def write_chrome_trace(path: PathLike, emitter: Any) -> pathlib.Path:
     """Write :func:`to_chrome_trace` output as JSON; returns the path."""
-    return write_json(path, to_chrome_trace(emitter, pid=pid, tid=tid))
+    return write_json(path, to_chrome_trace(emitter))
 
 
 def run_snapshot(emitter: Any, registry: Any = None) -> Dict[str, Any]:

@@ -154,10 +154,3 @@ def read(
                 break
             rows.append(row)
     return rows
-
-
-def rows_for(
-    bench: str, path: Optional[PathLike] = None
-) -> List[Dict[str, Any]]:
-    """Every ledger row for one bench name, oldest first."""
-    return [r for r in read(path) if r.get("bench") == bench]

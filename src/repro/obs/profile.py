@@ -46,7 +46,6 @@ def profile_programs(
     nreg: int = 128,
     packets: int = 16,
     sim: bool = True,
-    policy: str = "greedy",
     engine: Optional[str] = None,
 ) -> ProfileReport:
     """Profile one PU's allocation (and optionally its simulation).
@@ -56,7 +55,6 @@ def profile_programs(
         nreg: physical register budget.
         packets: packets per thread for the simulated run.
         sim: also run the allocated programs on the simulator.
-        policy: inter-thread reduction policy.
         engine: execution engine for the simulated run (see
             :mod:`repro.sim.engine`).  The profiled run carries the
             paranoid safety checker and records its timeline into the
@@ -69,7 +67,7 @@ def profile_programs(
 
     start = time.perf_counter()
     with metrics.scoped() as reg, events.capture() as em:
-        outcome = allocate_programs(programs, nreg=nreg, policy=policy)
+        outcome = allocate_programs(programs, nreg=nreg)
         if sim:
             run_threads(
                 outcome.programs,
@@ -81,7 +79,7 @@ def profile_programs(
     wall = time.perf_counter() - start
     allocation = {
         "nreg": nreg,
-        "policy": policy,
+        "policy": "greedy",
         "total_registers": outcome.total_registers,
         "sgr": outcome.sgr,
         "total_moves": outcome.total_moves,

@@ -3,8 +3,7 @@
 A :class:`Deadline` is a point in (monotonic) time after which work
 should stop.  It is *cooperative*: the allocator pipeline calls
 :meth:`Deadline.check` at phase boundaries (validate / analyze / bounds
-/ inter / assign / rewrite, and between spill-fallback rounds), so an
-expired budget surfaces as a typed
+/ inter / assign / rewrite), so an expired budget surfaces as a typed
 :class:`~repro.errors.DeadlineExceeded` at the next boundary instead of
 a silent overrun.  The simulators use cycle watchdogs
 (:class:`~repro.errors.WatchdogError`) rather than deadlines -- cycles

@@ -1,14 +1,14 @@
 """Deterministic, seedable, context-scoped fault injection.
 
 Production code paths carry cheap *hook points* -- a call to
-:func:`fire` naming a **site** such as ``"cache.disk"`` or
+:func:`fire` naming a **site** such as ``"service.store"`` or
 ``"sim.stuck"`` -- that return ``None`` unless a :class:`FaultPlan` is
 armed for the current block.  Arming happens only through
 :func:`inject`, which binds the plan in the current context (this
 thread and the service jobs it submits, :mod:`repro.scope`)::
 
-    with inject(FaultSpec("cache.disk", mode="truncate"), seed=7) as plan:
-        ...  # the next disk-cache read sees a truncated entry
+    with inject(FaultSpec("service.store", mode="corrupt"), seed=7) as plan:
+        ...  # the next on-disk result-store read sees a damaged entry
     assert plan.fired  # the fault actually triggered
 
 Everything is deterministic: a plan owns a single ``random.Random``
@@ -29,9 +29,6 @@ Known sites (the hook points threaded through the tree):
 =====================  ====================================================
 site                   where / what
 =====================  ====================================================
-``cache.disk``         :meth:`repro.core.cache.AnalysisCache._disk_load`;
-                       modes ``corrupt`` / ``truncate`` damage the on-disk
-                       entry before it is read
 ``pipeline.analyze``   :func:`repro.core.pipeline.allocate_programs`
                        analyze phase; mode ``transient`` raises
                        :class:`~repro.errors.TransientError`
@@ -59,7 +56,7 @@ from __future__ import annotations
 
 import random
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from repro.obs import events as obs
@@ -78,9 +75,9 @@ class FaultSpec:
 
     Attributes:
         site: hook-point name (see the module table).
-        mode: site-specific behaviour (``corrupt``, ``truncate``,
-            ``crash``, ``hang``, ``transient``, ``error``, ``bitflip``,
-            ``stuck`` -- each site documents its modes).
+        mode: site-specific behaviour (``corrupt``, ``transient``,
+            ``error``, ``bitflip``, ``stuck`` -- each site documents its
+            modes).
         after: skip this many eligible hits before the first fire.
         count: fire at most this many times (0 disables the spec).
         prob: probability of firing on an eligible hit, drawn from the
@@ -192,17 +189,14 @@ def fire(site: str, **context: Any) -> Optional[FaultSpec]:
     return plan.fire(site, **context)
 
 
-def inject(
-    *specs: FaultSpec, seed: int = 0, plan: Optional[FaultPlan] = None
-) -> ContextManager[FaultPlan]:
-    """Arm a fault plan for the duration of the block.
+def inject(*specs: FaultSpec, seed: int = 0) -> ContextManager[FaultPlan]:
+    """Arm a plan of ``specs`` for the duration of the block.
 
     The previous plan (normally none) is restored on exit, even on
     error, so injections scope cleanly and never leak into unrelated
     code -- including across test boundaries and into other threads.
     """
-    armed = plan if plan is not None else FaultPlan(specs, seed=seed)
-    return bind(_active, armed)
+    return bind(_active, FaultPlan(specs, seed=seed))
 
 
 def suspended() -> ContextManager[None]:

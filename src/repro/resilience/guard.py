@@ -1,10 +1,8 @@
 """The unified degradation ladder and bounded retry policy.
 
-Before this module every fallback in the tree was ad hoc: the disk
-cache silently swallowed errors, the spill fallback quietly retried.
-The ladder unifies them under one documented policy object: every
-rung names its trigger and its degraded mode, every *use* of a rung
-flows through :func:`record_degradation`, which appends a typed
+The ladder puts every fallback in the tree under one documented policy
+object: every rung names its trigger and its degraded mode, every *use*
+of a rung flows through :func:`record_degradation`, which appends a typed
 :class:`Degradation` record to one process-wide, locked log and emits a
 ``resilience.degrade`` telemetry event -- so a test (or the chaos
 harness) can assert that a masked fault really was masked *by policy*
@@ -18,10 +16,6 @@ rung                                    degraded mode
 ======================================  =================================
 ``analysis.dense_to_reference``         re-analyze with the set-based
                                         reference kernels
-``cache.disk_to_memory``                disable the on-disk cache layer,
-                                        keep the in-memory LRU
-``alloc.greedy_to_spill``               pre-spill the hungriest thread
-                                        and retry the greedy allocation
 ``service.store_to_memory``             serve the result store from the
                                         in-memory overlay only
 ``service.engine_to_reference``         run service simulation verdicts
@@ -31,9 +25,9 @@ rung                                    degraded mode
 ======================================  =================================
 
 Transient failures that do not merit a rung change (an injected
-``pipeline.analyze`` blip, a flaky disk) go through
-:func:`retry_transient`: bounded attempts with exponential backoff,
-each retry tagged with a ``resilience.retry`` event.
+``pipeline.analyze`` blip) go through :func:`retry_transient`: bounded
+attempts with exponential backoff, each retry tagged with a
+``resilience.retry`` event.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ from typing import (
     List,
     Optional,
     Tuple,
-    Type,
     TypeVar,
 )
 
@@ -81,20 +74,6 @@ LADDER: Tuple[Rung, ...] = (
         trigger="the dense bitset analysis kernels raise on a program",
         action="re-analyze that program with the set-based reference "
         "implementation (bit-identical results by construction)",
-    ),
-    Rung(
-        name="cache.disk_to_memory",
-        trigger="the on-disk analysis cache keeps failing "
-        "(unreadable/corrupt entries or I/O errors)",
-        action="disable the disk layer for this cache, keep the "
-        "in-memory LRU",
-    ),
-    Rung(
-        name="alloc.greedy_to_spill",
-        trigger="the register budget is infeasible even at the "
-        "threads' lower bounds",
-        action="pre-spill the hungriest thread (Chaitin-style) and "
-        "retry the cross-thread allocation",
     ),
     Rung(
         name="service.store_to_memory",
@@ -228,32 +207,23 @@ def retry_transient(
     fn: Callable[[], T],
     attempts: int = 3,
     backoff: float = 0.0,
-    retry_on: Tuple[Type[BaseException], ...] = (TransientError,),
     label: str = "work",
     sleep: Callable[[float], None] = time.sleep,
-    jitter: float = 0.0,
-    rng: Optional[random.Random] = None,
 ) -> T:
     """Run ``fn`` with bounded retry for transient failures.
 
-    Retries only exceptions in ``retry_on`` (default:
-    :class:`TransientError`); anything else propagates immediately.
-    Waits ``backoff * 2**k`` seconds before retry ``k`` (the default
-    ``backoff=0.0`` keeps tests instant).  ``jitter`` decorrelates the
-    schedule across concurrent callers (see :func:`backoff_delays`);
-    the zero-jitter default keeps the historical byte-identical delays
-    and events.  The last attempt's exception propagates unchanged, so
-    an unmaskable fault still surfaces typed.
+    Retries only :class:`TransientError`; anything else propagates
+    immediately.  Waits ``backoff * 2**k`` seconds before retry ``k``
+    (the default ``backoff=0.0`` keeps tests instant).  The last
+    attempt's exception propagates unchanged, so an unmaskable fault
+    still surfaces typed.
     """
     if attempts < 1:
         raise ValueError(f"attempts must be >= 1, got {attempts}")
-    delays = backoff_delays(
-        backoff, attempts, jitter=jitter, rng=rng, label=label
-    )
     for attempt in range(1, attempts + 1):
         try:
             return fn()
-        except retry_on as exc:
+        except TransientError as exc:
             if attempt == attempts:
                 raise
             em = obs.get_emitter()
@@ -267,5 +237,5 @@ def retry_transient(
                 )
                 obs_metrics.registry().counter("resilience.retry").inc()
             if backoff > 0:
-                sleep(delays[attempt - 1])
+                sleep(backoff * 2 ** (attempt - 1))
     raise AssertionError("unreachable")  # pragma: no cover

@@ -413,10 +413,7 @@ def ok_envelope(
 
 
 def error_envelope(
-    exc: BaseException,
-    key: Optional[str] = None,
-    coalesced: bool = False,
-    degraded: Sequence[str] = (),
+    exc: BaseException, key: Optional[str] = None, coalesced: bool = False
 ) -> Dict[str, Any]:
     """A typed error envelope for any exception.
 
@@ -439,7 +436,7 @@ def error_envelope(
         "schema": SCHEMA,
         "status": "error",
         "coalesced": bool(coalesced),
-        "degraded": sorted(degraded),
+        "degraded": [],
         "error": err,
     }
     if key is not None:

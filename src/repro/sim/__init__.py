@@ -4,11 +4,10 @@ The model implements the three architectural facts the paper's evaluation
 rests on:
 
 * ALU/branch/move instructions complete in one cycle;
-* memory and packet-queue operations take ``mem_latency`` cycles (20 by
-  default) during which the issuing thread is blocked and the PU runs
-  another ready thread;
-* a context switch saves only the PC and costs ``ctx_cost`` cycles (1 by
-  default).
+* memory and packet-queue operations take ``MEM_LATENCY`` cycles (20)
+  during which the issuing thread is blocked and the PU runs another
+  ready thread;
+* a context switch saves only the PC and costs ``CTX_COST`` cycles (1).
 
 Threads are non-preemptable: a thread keeps the PU until it blocks on a
 memory operation or executes ``ctx`` voluntarily.

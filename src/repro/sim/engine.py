@@ -22,7 +22,7 @@ together with a reference-only feature raises
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from repro.errors import EngineError
 from repro.ir.program import Program
@@ -91,12 +91,9 @@ def create_machine(
     engine: Optional[str] = None,
     *,
     nreg: int = 128,
-    mem_latency: int = 20,
-    ctx_cost: int = 1,
     memory=None,
     assignment=None,
     measure_iterations: Optional[int] = None,
-    latency_regions: Optional[Sequence[Tuple[int, int, int]]] = None,
     trace: bool = False,
     timeline: Optional[bool] = None,
 ) -> AnyMachine:
@@ -112,12 +109,9 @@ def create_machine(
     return cls(
         programs,
         nreg=nreg,
-        mem_latency=mem_latency,
-        ctx_cost=ctx_cost,
         memory=memory,
         assignment=assignment,
         measure_iterations=measure_iterations,
-        latency_regions=latency_regions,
         trace=trace,
         timeline=timeline,
     )

@@ -48,7 +48,7 @@ from repro.obs import events as obs
 from repro.obs import metrics as obs_metrics
 from repro.resilience import faults
 from repro.sim import decode as dc
-from repro.sim.machine import ThreadContext
+from repro.sim.machine import CTX_COST, MEM_LATENCY, ThreadContext
 from repro.sim.memory import MASK32, Memory
 from repro.sim.stats import MachineStats
 
@@ -256,8 +256,6 @@ class FastMachine:
         self,
         programs: Sequence[Program],
         nreg: int = 128,
-        mem_latency: int = 20,
-        ctx_cost: int = 1,
         memory: Optional[Memory] = None,
         assignment=None,
         measure_iterations: Optional[int] = None,
@@ -285,8 +283,8 @@ class FastMachine:
                 "(engine='reference') for runs with a RegisterAssignment"
             )
         self.nreg = nreg
-        self.mem_latency = mem_latency
-        self.ctx_cost = ctx_cost
+        self.mem_latency = MEM_LATENCY
+        self.ctx_cost = CTX_COST
         self.measure_iterations = measure_iterations
         self.latency_regions = list(latency_regions or ())
         self.memory = memory if memory is not None else Memory()

@@ -6,10 +6,10 @@ SRAM.  Timing model (the three facts the paper's numbers rest on):
 
 * every instruction costs 1 cycle to issue;
 * ``load``/``store``/``recv``/``send`` additionally block the issuing
-  thread for ``mem_latency`` cycles; the PU switches to the next ready
-  thread meanwhile;
+  thread for :data:`MEM_LATENCY` cycles; the PU switches to the next
+  ready thread meanwhile;
 * every relinquish of the PU (block, voluntary ``ctx``, halt) costs
-  ``ctx_cost`` switch cycles.
+  :data:`CTX_COST` switch cycles.
 
 Threads are non-preemptable and scheduled round-robin among ready threads;
 blocked threads re-enter the ready queue in deterministic
@@ -46,6 +46,12 @@ from repro.obs import events as obs
 from repro.obs import metrics as obs_metrics
 from repro.sim.memory import MASK32, Memory
 from repro.sim.stats import MachineStats, ThreadStats
+
+#: Cycles a memory or packet-queue operation blocks its thread (the
+#: paper's 20-cycle SRAM access), unless a latency region overrides it.
+MEM_LATENCY = 20
+#: Cycles one context switch costs (the PU saves only the PC).
+CTX_COST = 1
 
 
 class Segment(NamedTuple):
@@ -134,8 +140,6 @@ class Machine:
         self,
         programs: Sequence[Program],
         nreg: int = 128,
-        mem_latency: int = 20,
-        ctx_cost: int = 1,
         memory: Optional[Memory] = None,
         assignment: Optional[RegisterAssignment] = None,
         measure_iterations: Optional[int] = None,
@@ -147,7 +151,7 @@ class Machine:
         address range: ``(lo, hi, latency)`` applies to accesses with
         ``lo <= addr < hi`` (first match wins).  This models the IXP's
         split between fast SRAM (tables) and slower SDRAM (packet data);
-        unmatched addresses use ``mem_latency``.
+        unmatched addresses use :data:`MEM_LATENCY`.
 
         ``trace`` records every executed instruction as
         ``(cycle, tid, pc, text)`` in :attr:`trace_log` (debugging aid;
@@ -162,8 +166,8 @@ class Machine:
         if not programs:
             raise SimulationError("machine needs at least one thread")
         self.nreg = nreg
-        self.mem_latency = mem_latency
-        self.ctx_cost = ctx_cost
+        self.mem_latency = MEM_LATENCY
+        self.ctx_cost = CTX_COST
         self.measure_iterations = measure_iterations
         self.latency_regions = list(latency_regions or ())
         self.trace_log: Optional[List[Tuple[int, int, int, str]]] = (

@@ -64,22 +64,17 @@ class RunResult:
 def run_threads(
     programs: Sequence[Program],
     packets_per_thread: int = 32,
-    payload_words: int = 16,
     seed: int = 1,
-    vary_size: bool = False,
     nreg: int = 128,
-    mem_latency: int = 20,
-    ctx_cost: int = 1,
     assignment: Optional[RegisterAssignment] = None,
     max_cycles: int = 50_000_000,
-    stop_on_first_halt: bool = False,
     measure_iterations: Optional[int] = None,
     engine: Optional[str] = None,
 ) -> RunResult:
     """Run ``programs`` (one per thread) over deterministic packet queues.
 
     Every thread gets its own input queue of ``packets_per_thread``
-    packets; thread ``t``'s buffers live at
+    16-word packets; thread ``t``'s buffers live at
     ``PACKET_AREA_BASE + t * PACKET_AREA_STRIDE`` so the layout is
     identical between a reference run and an allocated run.
 
@@ -94,8 +89,6 @@ def run_threads(
         programs,
         engine,
         nreg=nreg,
-        mem_latency=mem_latency,
-        ctx_cost=ctx_cost,
         memory=memory,
         assignment=assignment,
         measure_iterations=measure_iterations,
@@ -105,14 +98,10 @@ def run_threads(
             memory,
             base=PACKET_AREA_BASE + tid * PACKET_AREA_STRIDE,
             n_packets=packets_per_thread,
-            payload_words=payload_words,
             seed=seed + tid,
-            vary_size=vary_size,
         )
         thread.in_queue = list(workload.bases)
-    stats = machine.run(
-        max_cycles=max_cycles, stop_on_first_halt=stop_on_first_halt
-    )
+    stats = machine.run(max_cycles=max_cycles)
     return RunResult(
         stats=stats,
         out_queues=[list(t.out_queue) for t in machine.threads],

@@ -44,10 +44,6 @@ class ThreadStats:
     #: drain effects, this is the steady-state service time.
     measured_cpi: Optional[float] = None
 
-    @property
-    def csb_instrs(self) -> int:
-        return self.mem_ops + self.ctx_instrs
-
     def cycles_per_iteration(self) -> float:
         """Average wall cycles per completed packet iteration.
 

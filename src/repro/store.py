@@ -1,11 +1,12 @@
-"""What the content-addressed stores share: the analysis cache
-(:mod:`repro.core.cache`) and the service's result store
-(:mod:`repro.service.store`) keep their codecs, failure policies, fault
-sites and telemetry, and take the rest from here -- the locked
-:class:`LRU`, hex keys (:func:`entry_path`), the atomic :func:`write`
-(a reader in any process sees an entry absent or complete), :func:`read`
-with its one decode rule and capped ``*.bad`` quarantine, and the
-:func:`damage` fault helper.  No lock here is held across disk I/O."""
+"""The content-addressed store mechanisms.  The analysis cache
+(:mod:`repro.core.cache`) keeps its entries in the locked :class:`LRU`.
+The service's result store (:mod:`repro.service.store`) keeps its codec,
+failure policy, fault site and telemetry, and takes the rest from here
+-- the :class:`LRU`, hex keys (:func:`entry_path`), the atomic
+:func:`write` (a reader in any process sees an entry absent or
+complete), :func:`read` with its one decode rule and capped ``*.bad``
+quarantine, and the :func:`damage` fault helper.  No lock here is held
+across disk I/O."""
 
 from __future__ import annotations
 
@@ -114,7 +115,7 @@ def read(path: pathlib.Path, decode: Callable[[bytes], Any]) -> Any:
         return None
     try:
         return decode(data)
-    except Exception as exc:  # noqa: BLE001 - a bad pickle raises anything
+    except Exception as exc:  # noqa: BLE001 - a decoder may raise anything
         raise Rejected(exc, _quarantine(path)) from exc
 
 

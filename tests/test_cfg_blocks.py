@@ -1,6 +1,6 @@
 """Unit tests for basic-block construction."""
 
-from repro.cfg.blocks import block_of_index, build_blocks
+from repro.cfg.blocks import build_blocks
 from repro.ir.parser import parse_program
 
 
@@ -27,13 +27,6 @@ def test_loop_back_edge(mini_kernel):
     assert loop_head.bid in {
         s for b in blocks for s in b.succs if b.start > loop_head.start
     }
-
-
-def test_block_of_index(mini_kernel):
-    blocks = build_blocks(mini_kernel)
-    for i in range(len(mini_kernel.instrs)):
-        b = block_of_index(blocks, i)
-        assert b.start <= i < b.end
 
 
 def test_blocks_partition_program(mini_kernel):

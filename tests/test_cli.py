@@ -25,18 +25,6 @@ def test_analyze_bench_spec(capsys):
     assert "frag" in capsys.readouterr().out
 
 
-def test_cache_dir_binds_a_persistent_cache_for_the_command(tmp_path):
-    from repro.core.cache import get_cache
-
-    default, before = get_cache(), get_cache().cache_dir
-    argv = ["profile", "bench:crc", "--no-sim", "--cache-dir", str(tmp_path)]
-    assert main(argv) == 0
-    assert list(tmp_path.glob("*.pkl"))
-    # The process default cache was neither replaced nor redirected.
-    assert get_cache() is default
-    assert default.cache_dir == before
-
-
 def test_allocate_and_write_output(kernel_file, tmp_path, capsys):
     out_dir = tmp_path / "alloc"
     assert (
@@ -133,7 +121,6 @@ def test_suite_listing(capsys):
     assert main(["suite"]) == 0
     out = capsys.readouterr().out
     assert "md5" in out and "wraps_recv" in out
-
 
 
 @pytest.mark.parametrize("identical", [True, False])

@@ -1,7 +1,5 @@
 """Unit tests for the content-addressed analysis cache."""
 
-import pickle
-
 import pytest
 
 from repro.core.analysis import analyze_thread
@@ -78,47 +76,6 @@ def test_bad_capacity_rejected():
         AnalysisCache(capacity=0)
 
 
-def test_disk_layer_round_trip(tmp_path):
-    writer = AnalysisCache(cache_dir=tmp_path)
-    p = prog(FIG3_T1, "t1")
-    writer.analyze(p)
-    writer.bounds(p)
-    assert list(tmp_path.glob("*.pkl"))
-
-    reader = AnalysisCache(cache_dir=tmp_path)
-    b = reader.bounds(prog(FIG3_T1, "t1"))
-    assert reader.stats.disk_hits == 1
-    assert reader.stats.misses == 0
-    assert b == writer.bounds(p)
-
-
-def test_disk_corrupt_file_is_a_miss(tmp_path):
-    cache = AnalysisCache(cache_dir=tmp_path)
-    p = prog()
-    (tmp_path / f"{p.fingerprint()}.pkl").write_bytes(b"not a pickle")
-    cache.analyze(p)
-    assert cache.stats.disk_errors == 1
-    assert cache.stats.misses == 1
-
-
-def test_disk_foreign_payload_is_a_miss(tmp_path):
-    cache = AnalysisCache(cache_dir=tmp_path)
-    p = prog()
-    (tmp_path / f"{p.fingerprint()}.pkl").write_bytes(
-        pickle.dumps(("something", "else"))
-    )
-    cache.analyze(p)
-    assert cache.stats.disk_errors == 1
-
-
-def test_env_cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    cache = AnalysisCache()
-    assert cache.cache_dir == tmp_path
-    monkeypatch.delenv("REPRO_CACHE_DIR")
-    assert AnalysisCache().cache_dir is None
-
-
 def test_telemetry_counters():
     cache = AnalysisCache()
     with metrics.scoped() as reg, events.capture() as em:
@@ -137,52 +94,6 @@ def test_scoped_restores_global():
         assert get_cache() is inner
         assert get_cache() is not before
     assert get_cache() is before
-
-
-def test_truncated_disk_entry_quarantined_and_recomputed(tmp_path):
-    # Regression: a half-written entry (e.g. a crash mid-store on an fs
-    # without atomic rename) must be quarantined -- not retried forever,
-    # not silently trusted -- and the analysis recomputed correctly.
-    writer = AnalysisCache(cache_dir=tmp_path)
-    p = prog(FIG3_T1, "t1")
-    writer.analyze(p)
-    writer.bounds(p)
-    path = tmp_path / f"{p.fingerprint()}.pkl"
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-
-    reader = AnalysisCache(cache_dir=tmp_path)
-    with events.capture() as em:
-        got = reader.analyze(prog(FIG3_T1, "t1"))
-    assert reader.stats.disk_errors == 1
-    assert reader.stats.misses == 1  # recomputed, not trusted
-    assert (tmp_path / f"{p.fingerprint()}.bad").exists()
-    disk_events = [e for e in em.events if e.name == "cache.disk_error"]
-    assert disk_events and disk_events[0].fields["action"] == "quarantined"
-    assert got.slots == analyze_thread(prog(FIG3_T1, "t1")).slots
-    # The recomputed entry was re-stored; a third cache disk-hits it.
-    third = AnalysisCache(cache_dir=tmp_path)
-    third.analyze(prog(FIG3_T1, "t1"))
-    assert third.stats.disk_hits == 1
-    assert third.stats.disk_errors == 0
-
-
-def test_injected_disk_faults_are_recoverable(tmp_path):
-    from repro.resilience import faults
-    from repro.resilience.faults import FaultSpec
-
-    for mode in ("truncate", "corrupt"):
-        sub = tmp_path / mode
-        writer = AnalysisCache(cache_dir=sub)
-        p = prog(FIG3_T1, "t1")
-        want = writer.analyze(p)
-
-        reader = AnalysisCache(cache_dir=sub)
-        with faults.inject(FaultSpec("cache.disk", mode=mode)) as plan:
-            got = reader.analyze(prog(FIG3_T1, "t1"))
-        assert plan.fired_at("cache.disk")
-        assert reader.stats.disk_errors == 1
-        assert got.slots == want.slots
 
 
 def test_dense_fallback_keeps_the_process_default():
@@ -207,25 +118,6 @@ def test_dense_fallback_keeps_the_process_default():
     assert analysis_digest(got) == analysis_digest(after)
 
 
-def test_persistent_disk_failures_degrade_to_memory(tmp_path):
-    from repro.resilience import guard
-
-    # Point the disk layer below a regular *file*: every load and every
-    # store fails with NotADirectoryError, which must trip the
-    # cache.disk_to_memory rung instead of failing forever.
-    blocker = tmp_path / "blocker.txt"
-    blocker.write_text("not a directory")
-    cache = AnalysisCache(cache_dir=blocker / "sub", max_disk_errors=2)
-    with guard.watching() as degs:
-        a = cache.analyze(prog(FIG3_T1, "t1"))
-    assert cache.cache_dir is None  # disk layer disabled...
-    assert cache.stats.disk_errors >= 2
-    assert any(d.rung == "cache.disk_to_memory" for d in degs)
-    # ...but the cache still works, memory-only.
-    assert cache.analyze(prog(FIG3_T1, "t1")) is a
-    assert cache.stats.hits == 1
-
-
 def test_pipeline_cached_matches_fresh():
     texts = [(MINI_KERNEL, "a"), (MINI_KERNEL, "b")]
     with scoped():
@@ -244,25 +136,17 @@ def test_pipeline_cached_matches_fresh():
     assert first.total_moves == second.total_moves
 
 
-def test_quarantine_cap_applies_on_cache_quarantine(tmp_path, monkeypatch):
-    """Quarantining through the cache itself respects the cap."""
-    import os
+def test_the_cache_writes_nothing_to_disk(tmp_path, monkeypatch):
+    # The cache is memory-only: no environment variable gives it a disk
+    # layer, in the library or on the command line.
+    from repro.cli import main
+    from repro.suite.registry import load
 
-    monkeypatch.setattr("repro.store.DEFAULT_MAX_QUARANTINE", 2)
-    cache = AnalysisCache(cache_dir=tmp_path)
-    texts = [FIG3_T1, FIG3_T2, MINI_KERNEL]
-    for i, text in enumerate(texts):
-        p = prog(text, f"t{i}")
-        cache.analyze(p)
-        path = tmp_path / f"{p.fingerprint()}.pkl"
-        path.write_bytes(b"garbage")
-        os.utime(path, (1000 + i, 1000 + i))
-        reader = AnalysisCache(cache_dir=tmp_path)
-        reader.analyze(prog(text, f"t{i}"))
-        # re-corrupt trail: drop the freshly re-stored good entry so
-        # only the .bad files accumulate
-        path.unlink()
-    assert len(list(tmp_path.glob("*.bad"))) <= 2
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    with scoped():
+        allocate_programs([load("crc")], nreg=64)
+    assert main(["profile", "bench:crc", "--no-sim"]) == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_lru_survives_racing_threads(monkeypatch):

@@ -373,11 +373,10 @@ def test_live_across_csb_uses_def_sets():
     dl = compute_liveness(program)
     for c in (2,):
         assert rl.live_across_csb(c) == dl.live_across_csb(c)
-    # The lazily built def-set cache matches the instructions.
-    assert rl.def_sets is not None or rl.live_across_csb(2) is not None
+    # Both builders precompute the def sets from the instructions.
     for i, instr in enumerate(program.instrs):
         expected = frozenset(instr.defs)
-        assert rl.def_sets is None or rl.def_sets[i] == expected
+        assert rl.def_sets[i] == dl.def_sets[i] == expected
 
 
 # ---------------------------------------------------------------------------

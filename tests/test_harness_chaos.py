@@ -90,17 +90,17 @@ def test_run_chaos_rejects_unknown_names():
 
 
 def test_result_classification_rules():
-    result = run_scenario(_scenario("cache-truncate"), "crc")
+    result = run_scenario(_scenario("service-store-fault"), "crc")
     assert result.outcome in ("masked", "typed-error")
-    # cache-truncate expects masked specifically.
+    # service-store-fault expects masked specifically.
     assert result.outcome == "masked", result.error
-    assert any(r["site"] == "cache.disk" for r in result.fired)
+    assert any(r["site"] == "service.store" for r in result.fired)
 
 
 def test_chaos_leaves_no_armed_plan_or_degradations_visible():
     from repro.resilience import faults
 
-    run_scenario(_scenario("cache-corrupt"), "crc")
+    run_scenario(_scenario("service-store-fault"), "crc")
     assert faults.active() is None
 
 

@@ -1,14 +1,7 @@
 """Tests for the human-readable analysis reports."""
 
 from repro.core.analysis import analyze_thread
-from repro.core.pipeline import allocate_programs
-from repro.harness.describe import (
-    allocation_report,
-    live_range_chart,
-    nsr_map,
-)
-from repro.ir.parser import parse_program
-from tests.conftest import MINI_KERNEL, STRAIGHT
+from repro.harness.describe import live_range_chart, nsr_map
 
 
 def test_live_range_chart_shape(straight):
@@ -50,12 +43,3 @@ def test_nsr_map_includes_labels(mini_kernel):
     text = nsr_map(an)
     assert "loop:" in text
     assert "start:" in text
-
-
-def test_allocation_report_end_to_end():
-    programs = [parse_program(MINI_KERNEL, "k")]
-    out = allocate_programs(programs, nreg=16)
-    report = allocation_report(out)
-    assert "-- k --" in report
-    assert "priv" in report
-    assert "$r" in report

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir.opcodes import MNEMONICS, Opcode, SPECS, spec
+from repro.ir.opcodes import D, I, MNEMONICS, Opcode, SPECS, U, spec
 
 
 def test_every_opcode_has_a_spec():
@@ -17,7 +17,6 @@ def test_mnemonics_round_trip():
 def test_alu_rr_signature():
     s = spec(Opcode.ADD)
     assert s.signature == ("D", "U", "U")
-    assert s.n_defs == 1 and s.n_uses == 2
     assert not s.is_csb and not s.is_branch
 
 
@@ -51,10 +50,8 @@ def test_halt_is_terminal():
 
 
 def test_store_has_no_defs():
-    assert spec(Opcode.STORE).n_defs == 0
-    assert spec(Opcode.STORE).n_uses == 2
+    assert spec(Opcode.STORE).signature == (U, U, I)
 
 
 def test_load_defines_its_destination():
-    assert spec(Opcode.LOAD).n_defs == 1
-    assert spec(Opcode.LOAD).n_uses == 1
+    assert spec(Opcode.LOAD).signature == (D, U, I)

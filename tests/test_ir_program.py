@@ -38,9 +38,8 @@ def test_resolve_unknown_label(straight):
 
 def test_label_queries(mini_kernel):
     idx = mini_kernel.labels["loop"]
-    assert mini_kernel.label_at(idx) == "loop"
     assert mini_kernel.labels_at(idx) == ["loop"]
-    assert mini_kernel.label_at(idx + 1) is None
+    assert mini_kernel.labels_at(idx + 1) == []
 
 
 def test_virtual_and_phys_regs(mini_kernel):
@@ -51,20 +50,6 @@ def test_virtual_and_phys_regs(mini_kernel):
 def test_count_opcode(mini_kernel):
     assert mini_kernel.count_opcode(Opcode.HALT) == 1
     assert mini_kernel.count_opcode(Opcode.RECV) == 1
-
-
-def test_fresh_label(mini_kernel):
-    assert mini_kernel.fresh_label("brandnew") == "brandnew"
-    taken = mini_kernel.fresh_label("loop")
-    assert taken != "loop"
-    assert taken not in mini_kernel.labels
-
-
-def test_fresh_vreg(mini_kernel):
-    fresh = mini_kernel.fresh_vreg("sum")
-    assert fresh.name != "sum"
-    fresh2 = mini_kernel.fresh_vreg("zzz")
-    assert fresh2.name == "zzz"
 
 
 def test_copy_is_structural(mini_kernel):

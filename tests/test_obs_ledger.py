@@ -117,14 +117,6 @@ def test_read_keeps_unknown_schema_rows(tmp_path):
     assert [r["bench"] for r in ledger.read(path)] == ["perf", "x"]
 
 
-def test_rows_for_filters_by_bench(tmp_path):
-    path = tmp_path / "l.jsonl"
-    ledger.append([_row(), _row("alloc"), _row()], path)
-    assert len(ledger.rows_for("perf", path)) == 2
-    assert len(ledger.rows_for("alloc", path)) == 1
-    assert ledger.rows_for("fig14", path) == []
-
-
 def test_default_path_env_override(monkeypatch, tmp_path):
     target = tmp_path / "custom.jsonl"
     monkeypatch.setenv(ledger.ENV_LEDGER, str(target))

@@ -8,10 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.analysis import analyze_thread
 from repro.core.bounds import estimate_bounds
 from repro.core.intra import IntraAllocator
-from repro.core.pipeline import (
-    allocate_programs,
-    allocate_with_spill_fallback,
-)
+from repro.core.pipeline import allocate_programs
 from repro.ir.parser import parse_program
 from repro.sim.run import outputs_match, run_reference, run_threads
 from tests.conftest import FIG3_T1, FIG3_T2, MINI_KERNEL
@@ -45,32 +42,6 @@ def test_any_feasible_budget_is_correct(names, slack):
         packets_per_thread=2,
         nreg=nreg,
         assignment=out.assignment,
-    )
-    assert outputs_match(ref, got)
-
-
-@SETTINGS
-@given(st.integers(min_value=0, max_value=6))
-def test_spill_fallback_below_floor_is_correct(deficit):
-    programs = [
-        parse_program(MINI_KERNEL, "a"),
-        parse_program(MINI_KERNEL, "b"),
-    ]
-    bounds = [estimate_bounds(analyze_thread(p)) for p in programs]
-    floor = sum(b.min_pr for b in bounds) + max(
-        b.min_r - b.min_pr for b in bounds
-    )
-    nreg = max(floor - deficit, 6)
-    result = allocate_with_spill_fallback(
-        [p.copy() for p in programs], nreg=nreg
-    )
-    assert result.outcome.total_registers <= nreg
-    ref = run_reference(programs, packets_per_thread=2)
-    got = run_threads(
-        result.outcome.programs,
-        packets_per_thread=2,
-        nreg=nreg,
-        assignment=result.outcome.assignment,
     )
     assert outputs_match(ref, got)
 

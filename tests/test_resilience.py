@@ -2,6 +2,7 @@
 the degradation ladder, retries, and the simulator watchdogs."""
 
 import pathlib
+import re
 
 import pytest
 
@@ -26,14 +27,14 @@ from repro.sim.machine import Machine
 # ----------------------------------------------------------------------
 def test_fire_without_plan_is_none():
     assert faults.active() is None
-    assert faults.fire("cache.disk") is None
+    assert faults.fire("service.store") is None
 
 
 def test_inject_scopes_and_restores():
-    spec = FaultSpec("cache.disk")
+    spec = FaultSpec("service.store")
     with faults.inject(spec) as plan:
         assert faults.active() is plan
-        assert faults.fire("cache.disk") is spec
+        assert faults.fire("service.store") is spec
     assert faults.active() is None
 
 
@@ -137,10 +138,10 @@ def test_record_degradation_logs_and_emits():
     with events.capture() as em:
         with guard.watching() as seen:
             rec = guard.record_degradation(
-                "cache.disk_to_memory", reason="flaky disk", streak=4
+                "service.store_to_memory", reason="flaky disk", streak=4
             )
     assert rec in seen
-    assert rec.rung == "cache.disk_to_memory"
+    assert rec.rung == "service.store_to_memory"
     assert dict(rec.context)["streak"] == 4
     assert rec in guard.degradations()
     assert any(e.name == "resilience.degrade" for e in em.events)
@@ -155,7 +156,9 @@ def test_degradation_seqs_stay_distinct_across_threads():
     def record(i):
         for _ in range(5_000):
             records[i].append(
-                guard.record_degradation("cache.disk_to_memory", reason="race")
+                guard.record_degradation(
+                    "service.store_to_memory", reason="race"
+                )
             )
 
     hammer_threads(record)
@@ -168,8 +171,6 @@ def test_ladder_documents_every_rung():
     names = {r.name for r in guard.LADDER}
     assert names == {
         "analysis.dense_to_reference",
-        "cache.disk_to_memory",
-        "alloc.greedy_to_spill",
         "service.store_to_memory",
         "service.engine_to_reference",
         "service.verify_to_skip",
@@ -185,6 +186,20 @@ def test_robustness_doc_lists_exactly_the_ladder():
     rows = table.split("\n\n", 1)[0].splitlines()[2:]
     documented = [row.split("|")[1].strip().strip("`") for row in rows]
     assert documented == [r.name for r in guard.LADDER]
+
+
+def test_every_rung_and_fault_site_has_a_producer():
+    # A documented rung or site with no code behind it, or code that
+    # takes an undocumented one, fails here.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    text = "\n".join(p.read_text() for p in sorted(src.rglob("*.py")))
+    taken = set(re.findall(r'record_degradation\(\s*"([^"]+)"', text))
+    taken |= set(re.findall(r'\brung="([^"]+)"', text))
+    assert taken == {r.name for r in guard.LADDER}
+    fired = set(re.findall(r'\bfire\(\s*"([^"]+)"', text))
+    table = re.split(r"^=+ +=+$", faults.__doc__, flags=re.M)[2]
+    documented = set(re.findall(r"^``([^`]+)``", table, flags=re.M))
+    assert fired == documented
 
 
 def test_retry_transient_recovers():

@@ -29,7 +29,6 @@ def test_instruction_classification():
     assert t.moves == 1
     assert t.ctx_instrs == 1
     assert t.mem_ops == 1
-    assert t.csb_instrs == 2
 
 
 def test_busy_cycles_accounting():

@@ -1,25 +1,16 @@
-"""The shared content-addressed store mechanisms (``repro.store``) and
-the two clients built on them: the analysis cache's ``*.pkl`` layer and
-the service's ``*.json`` result store."""
+"""The content-addressed store mechanisms (``repro.store``) and the
+service's ``*.json`` result store built on them."""
 
 import json
 import multiprocessing as mp
 import os
 import pathlib
-import pickle
 
 import pytest
 
 from repro import store
-from repro.core.analysis import analyze_thread
-from repro.core.bounds import estimate_bounds
-from repro.core.cache import AnalysisCache
-from repro.igraph.interference import InterferenceGraphs
-from repro.ir.parser import parse_program
 from repro.obs import events, metrics
 from repro.service.store import ResultStore
-from repro.suite.registry import load
-from tests.conftest import FIG3_T1, FIG3_T2, MINI_KERNEL
 from tests.test_service import hammer_threads
 
 KEY = "a1" * 32
@@ -117,20 +108,9 @@ def test_trims_are_counted_without_a_capture(tmp_path):
 
 
 def test_existing_format_entries_still_load(tmp_path):
-    """Entries written by hand in the established byte format -- a
-    pickled ``(analysis, bounds)`` pair, and canonical JSON under the
-    ``repro.service.store/1`` header -- load through both clients, and
-    the clients still write that format."""
-    program = parse_program(FIG3_T1, "t1")
-    analysis = analyze_thread(program)
-    bounds = estimate_bounds(analysis)
-    (tmp_path / f"{program.fingerprint()}.pkl").write_bytes(
-        pickle.dumps((analysis, bounds), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    cache = AnalysisCache(cache_dir=tmp_path)
-    assert cache.bounds(parse_program(FIG3_T1, "t1")) == bounds
-    assert cache.stats.disk_hits == 1 and cache.stats.misses == 0
-
+    """An entry written by hand in the established byte format --
+    canonical JSON under the ``repro.service.store/1`` header -- loads,
+    and the store still writes that format."""
     text = (
         '{"key":"%s","payload":{"sgr":3,"threads":[{"pr":4}]},'
         '"schema":"repro.service.store/1"}' % KEY
@@ -142,39 +122,6 @@ def test_existing_format_entries_still_load(tmp_path):
     fresh = tmp_path / "fresh"
     ResultStore(fresh).put(KEY, payload)
     assert (fresh / f"{KEY}.json").read_text() == text
-    AnalysisCache(cache_dir=fresh).bounds(program)
-    pair = pickle.loads((fresh / f"{program.fingerprint()}.pkl").read_bytes())
-    assert type(pair) is tuple and pair[1] == bounds
-
-
-def test_entries_without_interference_masks_take_the_reference_merge(tmp_path):
-    """An analysis pickled before the interference masks existed carries
-    the dense index but graph objects and no masks; written by hand in
-    that shape, with its bounds still to compute, it loads and its
-    bounds equal a fresh analysis's."""
-    program = load("crc")
-    analysis = analyze_thread(program)
-    graphs = analysis.graphs
-    unmasked = InterferenceGraphs.__new__(InterferenceGraphs)
-    unmasked.__dict__.update(
-        gig=graphs.gig,
-        big=graphs.big,
-        iigs=graphs.iigs,
-        boundary=graphs.boundary,
-        internal=graphs.internal,
-    )
-    analysis.graphs = unmasked
-    (tmp_path / f"{program.fingerprint()}.pkl").write_bytes(
-        pickle.dumps((analysis, None), protocol=pickle.HIGHEST_PROTOCOL)
-    )
-    cache = AnalysisCache(cache_dir=tmp_path)
-    got = cache.bounds(load("crc"))
-    assert cache.stats.disk_hits == 1 and cache.stats.misses == 0
-    assert cache.analyze(program).dense is not None
-    assert cache.analyze(program).graphs.masks is None
-    fresh = estimate_bounds(analyze_thread(program))
-    assert got == fresh
-    assert list(got.coloring.items()) == list(fresh.coloring.items())
 
 
 @pytest.mark.parametrize("doc", [[], "x", 1, None])
@@ -190,28 +137,25 @@ def test_foreign_json_is_a_quarantined_miss(tmp_path, doc):
     assert [e.fields["action"] for e in errors] == ["quarantined"]
 
 
-_PROGRAMS = ((FIG3_T1, "t1"), (FIG3_T2, "t2"), (MINI_KERNEL, "k"))
 _PAYLOADS = [{"i": i, "rows": list(range(i, 4_000))} for i in range(3)]
 
 
 def _disk_hammer(arg):
-    """Module-level worker: one process reading and writing both
-    clients' directories; returns every (key, value) it observed and
-    its disk errors."""
+    """Module-level worker: one process writing and reading the store's
+    directory; returns every (key, value) it observed and its disk
+    errors."""
     root, rounds = pathlib.Path(arg[0]), arg[1]
     seen, errors = [], 0
     for _ in range(rounds):
-        cache = AnalysisCache(cache_dir=root / "cache")
-        for text, name in _PROGRAMS:
-            p = parse_program(text, name)
-            cache.analyze(p)
-            seen.append((p.fingerprint(), repr(cache.bounds(p))))
-        errors += cache.stats.disk_errors
         for i, payload in enumerate(_PAYLOADS):
             key = f"{i:02x}" * 32
             ResultStore(root / "store").put(key, payload)
             # A fresh store has a cold overlay: this reads the disk.
-            seen.append((key, repr(ResultStore(root / "store").get(key))))
+            with metrics.scoped() as reg:
+                got = ResultStore(root / "store").get(key)
+            counters = reg.snapshot()["counters"]
+            errors += counters.get('service.store{result="corrupt"}', 0)
+            seen.append((key, repr(got)))
     return seen, errors
 
 
@@ -219,9 +163,9 @@ def test_disk_layer_multiprocess_atomicity(tmp_path):
     # The write discipline is write-to-temp + os.replace (and the
     # quarantine is itself an os.replace), so any number of processes
     # may race on one directory: a reader observes absent or complete,
-    # never torn.  Hammer both clients from four processes and require
-    # zero disk errors, one value per key (the stored payload itself for
-    # the result store), and no temp-file or quarantine litter.
+    # never torn.  Hammer the store from four processes and require
+    # zero disk errors, one value per key (the stored payload itself),
+    # and no temp-file or quarantine litter.
     with mp.get_context("spawn").Pool(4) as pool:
         work = pool.map_async(_disk_hammer, [(str(tmp_path), 5)] * 4)
         outcomes = work.get(timeout=300)
@@ -230,10 +174,9 @@ def test_disk_layer_multiprocess_atomicity(tmp_path):
         assert errors == 0
         for key, value in seen:
             by_key.setdefault(key, set()).add(value)
-    assert len(by_key) == 6
+    assert len(by_key) == 3
     assert all(len(values) == 1 for values in by_key.values())
     for i, payload in enumerate(_PAYLOADS):
         assert by_key[f"{i:02x}" * 32] == {repr(payload)}
-    for sub in ("cache", "store"):
-        assert not list((tmp_path / sub).glob("*.tmp"))
-        assert not list((tmp_path / sub).glob("*.bad"))
+    assert not list((tmp_path / "store").glob("*.tmp"))
+    assert not list((tmp_path / "store").glob("*.bad"))
