@@ -21,7 +21,7 @@ ranges is precomputed here, once per thread:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Set, Tuple
 
 from repro.cfg.liveness import (
     Liveness,
@@ -30,6 +30,7 @@ from repro.cfg.liveness import (
 )
 from repro.cfg.nsr import NsrInfo, compute_nsr
 from repro.cfg.webs import rename_webs, rename_webs_reference
+from repro.igraph.graph import bit_indices
 from repro.igraph.interference import InterferenceGraphs, build_interference
 from repro.ir.operands import Reg
 from repro.ir.program import Program
@@ -93,8 +94,10 @@ class ThreadAnalysis:
     csb_slots_of: Dict[Reg, FrozenSet[int]]
     defs_at: Dict[int, FrozenSet[Reg]]
     dying_at: Dict[int, FrozenSet[Reg]]
-    #: Per range: every (slot, other_range) pair that truly conflicts
-    #: (precomputed so the allocator's hot loop is pure dict/set lookups).
+    #: Per range: every (slot, other_range) pair that truly conflicts.
+    #: Stored by reference-built analyses only; a dense-built one holds
+    #: the relation as masks (``dense``) and leaves this ``None``.  Read
+    #: it for either kind through :meth:`conflict_lists`.
     conflicts_at: Dict[Reg, Tuple[Tuple[int, "Reg"], ...]] = None  # type: ignore[assignment]
     #: Lazy per-slot regrouping of ``conflicts_at`` (see
     #: :meth:`conflicts_by_slot`); never compared or printed.
@@ -106,8 +109,8 @@ class ThreadAnalysis:
     _conflict_pair_index: Dict[
         Tuple["Reg", "Reg"], Tuple[int, ...]
     ] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    #: Lazy per-range neighbour masks (see :meth:`conflict_neighbors`);
-    #: never compared or printed.
+    #: Lazy per-range neighbour masks of a reference-built analysis (see
+    #: :meth:`conflict_neighbors`); never compared or printed.
     _conflict_neighbors: Tuple[Dict["Reg", int], List[int]] = field(
         default=None, repr=False, compare=False
     )  # type: ignore[assignment]
@@ -120,6 +123,20 @@ class ThreadAnalysis:
     @property
     def all_regs(self) -> List[Reg]:
         return sorted(self.slots, key=str)
+
+    def conflict_lists(self) -> Dict[Reg, Tuple[Tuple[int, "Reg"], ...]]:
+        """Per range, every ``(slot, other)`` pair that truly conflicts,
+        sorted by slot, then by ``str`` of the other range.
+
+        A reference-built analysis returns its stored ``conflicts_at``.
+        A dense-built one derives the same pairs, order included, from
+        its masks on every call and keeps none of them
+        (:meth:`repro.core.dense.DenseAnalysisIndex.conflict_lists`): the
+        tests and the analysis digest read it, the allocator does not.
+        """
+        if self.dense is None:
+            return self.conflicts_at
+        return self.dense.conflict_lists()  # type: ignore[attr-defined]
 
     def conflicts_by_slot(
         self, reg: Reg
@@ -145,24 +162,24 @@ class ThreadAnalysis:
     def conflict_pairs(self) -> Dict[Tuple["Reg", "Reg"], Tuple[int, ...]]:
         """Each unordered conflicting range pair once, with its slots.
 
-        ``conflicts_at`` records every conflict in both directions; this
-        deduplicates to ``(a, b)`` with ``str(a) < str(b)`` and collects
-        the ascending slot list where the pair truly conflicts.  Built on
-        first use and cached -- validation of a context with a split
-        range sweeps it, comparing one slot per pair whose ranges are
-        both unsplit, and every context's validation reports a clash
-        from it.
+        Keys are ``(a, b)`` with ``str(a) < str(b)``; each value is the
+        ascending slot list where the pair truly conflicts.  A
+        dense-built analysis reads it off its conflict masks, a
+        reference-built one deduplicates ``conflicts_at``.  Built on
+        first use and cached -- validation reports a clash from it, and
+        checks a split context of a reference-built analysis by
+        sweeping it.
         """
         index = self._conflict_pair_index
         if index is None:
-            dense = self.dense
+            dense: Any = self.dense
             if dense is not None:
-                # Re-derived from the liveness masks in index space, so
-                # no per-pair str() or register hashing.
                 regs = dense.dmap.regs
                 index = {
-                    (regs[ai], regs[bi]): tuple(slots)
-                    for (ai, bi), slots in dense.conflict_pair_slots().items()
+                    (a, regs[bi]): tuple(bit_indices(m))
+                    for ai, a in enumerate(regs)
+                    for bi, m in dense.relation(ai)
+                    if bi > ai
                 }
             else:
                 grouped: Dict[Tuple["Reg", "Reg"], List[int]] = {}
@@ -183,23 +200,24 @@ class ThreadAnalysis:
         ``masks[rank[a]]`` is set when ``a`` and ``b`` truly conflict
         at some slot -- the pairs of :meth:`conflict_pairs` without
         their slots.  It is all an unsplit context's validation needs,
-        at one mask per range instead of one slot list per pair.  Built
-        on first use and cached.
+        at one mask per range instead of one slot list per pair.  A
+        dense-built analysis answers from its index's memo; a
+        reference-built one builds the masks on first use and caches
+        them.
         """
+        dense: Any = self.dense
+        if dense is not None:
+            return dense.dmap.index, dense.conflict_neighbor_masks()
         relation = self._conflict_neighbors
         if relation is None:
-            dense = self.dense
-            if dense is not None:
-                relation = (dense.dmap.index, dense.conflict_neighbor_masks())
-            else:
-                rank = {r: i for i, r in enumerate(self.all_regs)}
-                masks = [0] * len(rank)
-                for a, pairs in self.conflicts_at.items():
-                    m = 0
-                    for _, b in pairs:
-                        m |= 1 << rank[b]
-                    masks[rank[a]] = m
-                relation = (rank, masks)
+            rank = {r: i for i, r in enumerate(self.all_regs)}
+            masks = [0] * len(rank)
+            for a, pairs in self.conflicts_at.items():
+                m = 0
+                for _, b in pairs:
+                    m |= 1 << rank[b]
+                masks[rank[a]] = m
+            relation = (rank, masks)
             self._conflict_neighbors = relation
         return relation
 

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple,
+    Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple,
 )
 
 from repro.core.analysis import ThreadAnalysis
 from repro.core.dense import mask_of_slots
 from repro.errors import AllocationError
+from repro.igraph.graph import bit_indices
 from repro.ir.operands import Reg
 
 #: A :meth:`AllocContext.conflict_profile` entry: the conflicting pieces
@@ -183,8 +184,8 @@ class AllocContext:
         ``profile[c] = [pieces, slot_mask]`` means coloring ``piece`` with
         ``c`` clashes with ``pieces`` at the slots of ``slot_mask``.
 
-        A dense-built analysis answers from the precomputed per-range
-        conflict masks; the reference sweep below walks the conflict pairs
+        A dense-built analysis answers from the per-range conflict
+        masks; the reference sweep below walks the conflict pairs
         directly.  Both produce the same entries, piece order included.
         """
         dense = self.analysis.dense
@@ -225,7 +226,7 @@ class AllocContext:
     ) -> Dict[int, ProfileEntry]:
         """Mask-backed :meth:`conflict_profile`.
 
-        The per-other-range conflict masks are precomputed once per range
+        The per-other-range conflict masks are built once per range
         (:meth:`repro.core.dense.DenseAnalysisIndex.conflict_masks`); a
         probe intersects them with the piece's slot mask and groups the
         surviving bits by occupying piece.  Entries are emitted in the
@@ -235,10 +236,9 @@ class AllocContext:
         """
         an = self.analysis
         reg = piece.reg
-        pairs = an.conflicts_at.get(reg, ())
-        if not pairs:
+        masks = dense.conflict_masks(reg)  # type: ignore[attr-defined]
+        if not masks:
             return {}
-        masks = dense.conflict_masks(reg, pairs)  # type: ignore[attr-defined]
         whole = len(piece.slots) == len(an.slots[reg])
         pmask = None if whole else mask_of_slots(piece.slots)
         rank = dense.dmap.index  # type: ignore[attr-defined]
@@ -310,7 +310,7 @@ class AllocContext:
         """Would coloring ``piece`` with ``color`` clash with anything?
 
         Boolean-only form of :meth:`conflicts_with_color` for the
-        allocator's yes/no probes: the dense path scans the precomputed
+        allocator's yes/no probes: the dense path scans the per-range
         conflict masks and stops at the first clashing piece instead of
         collecting witnesses.
         """
@@ -337,15 +337,12 @@ class AllocContext:
     def _dense_conflicting(
         self, piece: Piece, dense: object
     ) -> Iterator[Piece]:
-        """Walk ``piece``'s precomputed conflict masks, yielding the
+        """Walk ``piece``'s per-range conflict masks, yielding the
         conflicting pieces: once per unsplit other range, once per
         conflicting slot of a split one (repeats allowed)."""
         an = self.analysis
         reg = piece.reg
-        pairs = an.conflicts_at.get(reg, ())
-        if not pairs:
-            return
-        masks = dense.conflict_masks(reg, pairs)  # type: ignore[attr-defined]
+        masks = dense.conflict_masks(reg)  # type: ignore[attr-defined]
         whole = len(piece.slots) == len(an.slots[reg])
         pmask = None if whole else mask_of_slots(piece.slots)
         pieces = self.pieces
@@ -422,10 +419,10 @@ class AllocContext:
         * colors fit the palette; boundary pieces use private colors;
         * no two truly-conflicting pieces share a color.
 
-        A context with no split range checks the last invariant against
-        the per-range neighbour masks; only a split context, or a clash
-        to report, reads the per-pair slot index
-        (:meth:`ThreadAnalysis.conflict_pairs`).
+        The last invariant is checked on masks (:meth:`_colors_clash`).
+        The per-pair slot index (:meth:`ThreadAnalysis.conflict_pairs`)
+        is read only to word a clash, or to check a split context of a
+        reference-built analysis.
         """
         an = self.analysis
         for reg, slots in an.slots.items():
@@ -446,15 +443,17 @@ class AllocContext:
                 )
         pieces = self.pieces
         counts = self._piece_count
-        if max(counts.values(), default=0) <= 1 and not self._colors_clash():
+        split = max(counts.values(), default=0) > 1
+        if (an.dense is not None or not split) and not self._colors_clash():
             return
-        # Walk the precomputed true-conflict pairs instead of re-deriving
-        # them from occupants x occupants interferes_at() probes -- the
-        # same checks at a fraction of the cost.  When neither range of a
+        # Walk the true-conflict pairs instead of re-deriving them from
+        # occupants x occupants interferes_at() probes -- the same
+        # checks at a fraction of the cost.  When neither range of a
         # pair is split, every conflicting slot compares the same two
         # pieces, so a single comparison covers them all; only pairs with
-        # a split side need the per-slot sweep.  An unsplit context gets
-        # here only with a clash to report, so its message is the walk's.
+        # a split side need the per-slot sweep.  A context the mask
+        # check covers gets here only with a clash to report, so its
+        # message is the walk's.
         assign = self._assign
         for (a, b), cslots in an.conflict_pairs().items():
             ma = assign.get(a)
@@ -473,20 +472,59 @@ class AllocContext:
                     )
 
     def _colors_clash(self) -> bool:
-        """Does a range share its color with a conflict neighbour?
+        """Do two truly-conflicting pieces share a color?
 
-        The conflict check of an unsplit context, where each range is
-        one piece: per color, the mask of the ranges using it, against
-        each range's neighbour mask
-        (:meth:`ThreadAnalysis.conflict_neighbors`).
+        Per color, the mask of the ranges using it, ANDed with a range's
+        neighbour mask (:meth:`ThreadAnalysis.conflict_neighbors`), gives
+        the candidates: the ranges that conflict with it somewhere and
+        use that color somewhere.  Two unsplit ranges clash outright.  A
+        pair with a split side clashes where its conflict slots
+        (:meth:`repro.core.dense.DenseAnalysisIndex.conflict_masks`)
+        meet the slots where both ranges use the color; only that case
+        reads the dense index, so a split context needs a dense-built
+        analysis.
         """
-        rank, masks = self.analysis.conflict_neighbors()
+        rank, nbr = self.analysis.conflict_neighbors()
+        dense: Any = self.analysis.dense
+        pieces = self.pieces
+        counts = self._piece_count
         users: Dict[int, int] = {}
-        for p in self.pieces.values():
-            users[p.color] = users.get(p.color, 0) | (1 << rank[p.reg])
-        return any(
-            masks[rank[p.reg]] & users[p.color] for p in self.pieces.values()
-        )
+        # split range rank -> color -> the slots of its pieces of that color
+        colored: Dict[int, Dict[int, int]] = {}
+        for p in pieces.values():
+            ai = rank[p.reg]
+            users[p.color] = users.get(p.color, 0) | (1 << ai)
+            if counts[p.reg] > 1:
+                by_color = colored.setdefault(ai, {})
+                by_color[p.color] = by_color.get(p.color, 0) | mask_of_slots(
+                    p.slots
+                )
+        for p in pieces.values():
+            candidates = nbr[rank[p.reg]] & users[p.color]
+            if not candidates or counts[p.reg] > 1:
+                continue
+            for bi in bit_indices(candidates):
+                theirs = colored.get(bi)
+                if theirs is None:
+                    return True
+                masks = dense.conflict_masks(dense.dmap.regs[bi])
+                if masks[p.reg] & theirs[p.color]:
+                    return True
+        for ai, mine in colored.items():
+            masks = None
+            for color, slots in mine.items():
+                for bi in bit_indices(nbr[ai] & users[color]):
+                    theirs = colored.get(bi)
+                    # An unsplit candidate was checked above; a pair of
+                    # split ranges is checked from its lower rank.
+                    if theirs is None or bi < ai:
+                        continue
+                    regs = dense.dmap.regs
+                    if masks is None:
+                        masks = dense.conflict_masks(regs[ai])
+                    if masks[regs[bi]] & slots & theirs.get(color, 0):
+                        return True
+        return False
 
 
 def initial_context(

@@ -13,11 +13,11 @@ The layout invariant everything rests on: :class:`DenseMap` numbers
 registers in ``str``-sorted order, so **ascending bit order equals the
 ``str`` order** the reference implementation sorts by.  Expanding a mask
 low-bit-first therefore reproduces every reference iteration order
-(occupant tuples, ``conflicts_at`` pair order, tie-breaks in the
-coloring heuristics) without ever calling ``sorted``.  That is what
-makes the two implementations bit-identical rather than merely
-equivalent: same :class:`~repro.core.analysis.ThreadAnalysis` contents,
-same allocations, same benchmark JSON.
+(occupant tuples, flow edges, tie-breaks in the coloring heuristics)
+without ever calling ``sorted``.  That is what makes the two
+implementations bit-identical rather than merely equivalent: same
+:class:`~repro.core.analysis.ThreadAnalysis` contents, same
+allocations, same benchmark JSON.
 
 The dense kernels are the only path an analysis takes:
 :func:`~repro.cfg.liveness.compute_liveness`,
@@ -51,6 +51,14 @@ an occupant ``a`` of slot ``s`` with occupant mask ``occ``, def mask
     a in dying:  conf = (occ & ~defs)            & ~bit(a)
     otherwise:   conf =  occ                     & ~bit(a)
 
+ORed over the slots, the formulas give each range's neighbour mask.  Per
+pair of ranges the relation stays a slot mask: ``a`` and ``b`` conflict
+at ``slot_mask(a) & slot_mask(b) & ~exc(a, b)``, where ``slot_mask`` is
+a range's occupied-slot mask and ``exc`` the sparse table of the slots
+where the exception applies.  The ``(slot, other)`` pair lists a
+reference-built analysis stores as ``conflicts_at`` are derived from
+these masks only for the tests and the analysis digest.
+
 ``tests/test_dense.py`` checks this against the shared predicate over
 every membership combination, and differentially checks whole analyses,
 merges, bounds and allocations against the reference implementation.
@@ -58,7 +66,7 @@ merges, bounds and allocations against the reference implementation.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cfg.liveness import Liveness
 from repro.cfg.nsr import NsrInfo
@@ -388,52 +396,96 @@ def build_interference_dense(
 class DenseAnalysisIndex:
     """Bitmask companion to a dense-built ``ThreadAnalysis``.
 
-    Carries the register renumbering, per-register occupied-slot masks,
-    and (built lazily, per register) the per-conflicting-range slot masks
-    the allocation context's conflict probes answer from.
+    Carries the register renumbering, per-register occupied-slot masks
+    and the def-vs-dying-use exception table; the true-conflict relation
+    is derived from them as masks.  Ranges ``a`` and ``b`` conflict at
+    the slots ``slot_mask(a) & slot_mask(b) & ~exc(a, b)``.
+
+    The memos (neighbour masks, per-range conflict maps) are pure
+    functions of the analysis, and a cached analysis is shared between
+    service workers: a racing first build stores an equal value and the
+    last write wins.
     """
 
-    __slots__ = ("dmap", "_slot_masks", "_conflict_masks", "_dl")
+    __slots__ = (
+        "dmap",
+        "_slot_masks",
+        "_exceptions",
+        "_dl",
+        "_neighbors",
+        "_conflict_masks",
+    )
 
     def __init__(
-        self, dmap: DenseMap, slot_masks: List[int], dl: "DenseLiveness"
+        self,
+        dmap: DenseMap,
+        slot_masks: List[int],
+        exceptions: Dict[int, Dict[int, int]],
+        dl: "DenseLiveness",
     ) -> None:
         self.dmap = dmap
         self._slot_masks = slot_masks
-        self._conflict_masks: Dict[Reg, Dict[Reg, int]] = {}
+        #: rank a -> rank b -> the slots where a def of one meets the
+        #: other dying there without a def; both directions are stored.
+        self._exceptions = exceptions
         self._dl = dl
+        self._neighbors: Optional[List[int]] = None
+        self._conflict_masks: Dict[Reg, Dict[Reg, int]] = {}
 
     def slot_mask(self, reg: Reg) -> int:
         i = self.dmap.index.get(reg)
         return self._slot_masks[i] if i is not None else 0
 
-    def conflict_masks(
-        self, reg: Reg, pairs: Tuple[Tuple[int, Reg], ...]
-    ) -> Dict[Reg, int]:
-        """``conflicts_at[reg]`` regrouped as ``{other: slot mask}``.
+    def relation(self, ai: int) -> Iterator[Tuple[int, int]]:
+        """``(rank, slot mask)`` of each range that truly conflicts with
+        rank ``ai``, by ascending rank: the one source of
+        :meth:`conflict_masks`, :meth:`conflict_lists` and
+        ``ThreadAnalysis.conflict_pairs``."""
+        sm = self._slot_masks
+        own = sm[ai]
+        exc = self._exceptions.get(ai, {})
+        for bi in bit_indices(self.conflict_neighbor_masks()[ai]):
+            yield bi, own & sm[bi] & ~exc.get(bi, 0)
 
-        ``pairs`` must be the analysis' ``conflicts_at`` entry for
-        ``reg``; the grouping is memoized per register.
-        """
+    def conflict_masks(self, reg: Reg) -> Dict[Reg, int]:
+        """``reg``'s true conflicts as ``{other: slot mask}``, in rank
+        order; memoized per register."""
         cm = self._conflict_masks.get(reg)
         if cm is None:
-            cm = {}
-            for s, b in pairs:
-                bit = 1 << s
-                prev = cm.get(b)
-                cm[b] = bit if prev is None else prev | bit
+            regs = self.dmap.regs
+            ai = self.dmap.index[reg]
+            cm = {regs[bi]: m for bi, m in self.relation(ai)}
             self._conflict_masks[reg] = cm
         return cm
 
+    def conflict_lists(self) -> Dict[Reg, Tuple[Tuple[int, Reg], ...]]:
+        """Every range's ``(slot, other)`` conflict pairs, sorted by
+        (slot, rank): the ``conflicts_at`` a reference-built analysis
+        stores, order included.
+
+        Re-derived on every call and kept nowhere.  The allocator never
+        calls it; the differential tests and the analysis digest do.
+        """
+        regs = self.dmap.regs
+        out: Dict[Reg, Tuple[Tuple[int, Reg], ...]] = {}
+        for ai, reg in enumerate(regs):
+            pairs = sorted(
+                (s, bi) for bi, m in self.relation(ai) for s in bit_indices(m)
+            )
+            out[reg] = tuple((s, regs[bi]) for s, bi in pairs)
+        return out
+
     def conflict_neighbor_masks(self) -> List[int]:
         """Per range (by dense rank), the mask of the ranges it truly
-        conflicts with at some slot.
+        conflicts with at some slot; memoized.
 
-        The source of ``ThreadAnalysis.conflict_neighbors``: each
-        occupant's conflict mask at each slot (the three formulas in the
-        module docstring), ORed over the slots.  Not memoized: the
-        analysis keeps the one copy.
+        The source of ``ThreadAnalysis.conflict_neighbors``, which keeps
+        no copy, and of :meth:`relation`: each occupant's conflict mask
+        at each slot (the three formulas in the module docstring), ORed
+        over the slots.
         """
+        if self._neighbors is not None:
+            return self._neighbors
         dl = self._dl
         nbr = [0] * len(self.dmap)
         for om, d, dy in zip(dl.occ, dl.defs, dl.dying):
@@ -449,49 +501,9 @@ class DenseAnalysisIndex:
                     nbr[ai] |= om & ~dm
                 else:
                     nbr[ai] |= om
-        return [m & ~(1 << ai) for ai, m in enumerate(nbr)]
-
-    def conflict_pair_slots(self) -> Dict[Tuple[int, int], List[int]]:
-        """Each unordered conflicting pair once, by dense rank, with its
-        ascending conflict-slot list.
-
-        The int-space source of ``ThreadAnalysis.conflict_pairs``: the
-        per-slot conflict relation re-derived from the liveness masks
-        entirely in index space, so no register object is hashed per
-        pair.  Not memoized: the analysis keeps the one copy, re-keyed
-        by register.
-        """
-        dl = self._dl
-        grouped: Dict[Tuple[int, int], List[int]] = {}
-        for s, om in enumerate(dl.occ):
-            if not (om & (om - 1)):
-                continue
-            dm = dl.defs[s] & om
-            dym = dl.dying[s] & om
-            dnd = dym & ~dm
-            idxs = list(bit_indices(om))
-            plain = not (dm and dym)
-            for ai in idxs:
-                abit = 1 << ai
-                if plain:
-                    conf = om
-                elif dm & abit:
-                    conf = om & ~dnd
-                elif dym & abit:
-                    conf = om & ~dm
-                else:
-                    conf = om
-                conf &= ~((abit << 1) - 1)  # each pair once: b > a
-                while conf:
-                    low = conf & -conf
-                    conf ^= low
-                    key = (ai, low.bit_length() - 1)
-                    g = grouped.get(key)
-                    if g is None:
-                        grouped[key] = [s]
-                    else:
-                        g.append(s)
-        return grouped
+        nbrs = [m & ~(1 << ai) for ai, m in enumerate(nbr)]
+        self._neighbors = nbrs
+        return nbrs
 
 
 def finish_analysis_dense(
@@ -500,11 +512,14 @@ def finish_analysis_dense(
     nsr: NsrInfo,
     graphs: InterferenceGraphs,
 ) -> "ThreadAnalysis":  # noqa: F821 - imported lazily to avoid a cycle
-    """Build every ``ThreadAnalysis`` field from the liveness masks.
+    """Build the ``ThreadAnalysis`` fields from the liveness masks.
 
     Every dict/tuple is produced pre-sorted (slots ascend, mask bits
     ascend == ``str`` ascends), so no field needs a final sort and the
     result compares equal, order included, to the reference builder's.
+    The true-conflict relation is not listed pair by pair: the analysis
+    stores no ``conflicts_at``, and its :class:`DenseAnalysisIndex` keeps
+    the exception table the relation's masks are derived from.
     """
     from repro.core.analysis import ThreadAnalysis
 
@@ -550,50 +565,22 @@ def finish_analysis_dense(
     defs_at = {i: frozen(dl.defs[i]) for i in range(n) if dl.defs[i]}
     dying_at = {i: frozen(dl.dying[i]) for i in range(n) if dl.dying[i]}
 
-    # Pair volume dominates large kernels (hundreds of thousands of
-    # (slot, other) tuples), so the loop builds each slot's k ``(s, b)``
-    # tuples once and shares them across all k occupants' lists: the
-    # clique case is two slice copies around the occupant's own entry,
-    # and the exception cases filter the shared list instead of
-    # re-allocating tuples per pair.  Exceptions follow
-    # :func:`repro.core.analysis.true_conflict`: a def skips the
-    # dying-not-def ranges, a dying use skips the defs.
-    conflicts: Dict[Reg, List[Tuple[int, Reg]]] = {r: [] for r in regs}
-    for s, occ_list in occupants.items():
-        om = occ[s]
-        if not (om & (om - 1)):
-            continue  # fewer than two occupants: no pairs
-        dm = dl.defs[s] & om
-        dym = dl.dying[s] & om
-        all_pairs = [(s, b) for b in occ_list]
-        if not (dm and dym):
-            # No def/dying-use exception possible: full pairwise clique.
-            for p, a in enumerate(occ_list):
-                lst = conflicts[a]
-                lst.extend(all_pairs[:p])
-                lst.extend(all_pairs[p + 1 :])
+    # The def-vs-dying-use exception of true_conflict, the only
+    # co-occupancy that is not a conflict: a def skips the ranges dying
+    # at its slot without a def there, in both directions.  Both sides
+    # occupy the slot (a use is live in), so the slots two ranges share
+    # minus these are where they truly conflict.
+    exceptions: Dict[int, Dict[int, int]] = {}
+    for s, (dm, dy) in enumerate(zip(dl.defs, dl.dying)):
+        dnd = dy & ~dm
+        if not (dm and dnd):
             continue
-        dnd_set = frozen(dym & ~dm)
-        def_set = frozen(dm)
-        m = om
-        for p, a in enumerate(occ_list):
-            low = m & -m
-            m ^= low
-            if dm & low:
-                excl = dnd_set
-            elif dym & low:
-                excl = def_set
-            else:
-                excl = None
-            lst = conflicts[a]
-            if excl:
-                lst.extend(
-                    [t for t in all_pairs if t[1] is not a and t[1] not in excl]
-                )
-            else:
-                lst.extend(all_pairs[:p])
-                lst.extend(all_pairs[p + 1 :])
-    conflicts_at = {r: tuple(v) for r, v in conflicts.items()}
+        bit = 1 << s
+        for ai in bit_indices(dm):
+            for bi in bit_indices(dnd):
+                for x, y in ((ai, bi), (bi, ai)):
+                    row = exceptions.setdefault(x, {})
+                    row[y] = row.get(y, 0) | bit
 
     return ThreadAnalysis(
         program=program,
@@ -607,6 +594,5 @@ def finish_analysis_dense(
         csb_slots_of={r: frozenset(s) for r, s in csb_sets.items()},
         defs_at=defs_at,
         dying_at=dying_at,
-        conflicts_at=conflicts_at,
-        dense=DenseAnalysisIndex(dmap, slot_masks, dl),
+        dense=DenseAnalysisIndex(dmap, slot_masks, exceptions, dl),
     )

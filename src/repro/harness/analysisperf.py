@@ -54,7 +54,8 @@ def analysis_digest(an: ThreadAnalysis) -> str:
     ``conflicts_at`` pair lists) are part of the digest, so two
     implementations only agree when they are bit-identical, not merely
     set-equal.  A dense-built analysis builds its graphs from its
-    interference masks here, outside the timed region.
+    interference masks, and its pair lists from its conflict masks,
+    here, outside the timed region.
     """
     graphs = an.graphs
     payload = {
@@ -75,7 +76,7 @@ def analysis_digest(an: ThreadAnalysis) -> str:
         "csb_slots_of": _canon(an.csb_slots_of),
         "defs_at": _canon(an.defs_at),
         "dying_at": _canon(an.dying_at),
-        "conflicts_at": _canon(an.conflicts_at),
+        "conflicts_at": _canon(an.conflict_lists()),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -13,16 +13,17 @@
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, List, Optional
 
 from repro.errors import ValidationError
-from repro.ir.operands import PhysReg, VirtualReg
+from repro.ir.operands import PhysReg, Reg, VirtualReg
 from repro.ir.program import Program
 
 
 def validate_program(program: Program, check_init: bool = True) -> None:
     """Raise :class:`ValidationError` on any structural problem."""
-    n = len(program.instrs)
+    instrs = program.instrs
+    n = len(instrs)
     if n == 0:
         raise ValidationError(f"program {program.name!r} is empty")
     for label, index in program.labels.items():
@@ -31,24 +32,23 @@ def validate_program(program: Program, check_init: bool = True) -> None:
                 f"program {program.name!r}: label {label!r} points at "
                 f"{index}, outside [0, {n})"
             )
-    for index, instr in enumerate(program.instrs):
+    # Register operands are exactly the D and U roles (the Instruction
+    # constructor enforces it), so one scan of the operands finds them.
+    has_virtual = has_phys = False
+    for instr in instrs:
         if instr.spec.is_branch:
             program.resolve(instr.target.name)  # raises when undefined
-        terminal = instr.spec.is_halt or (
-            instr.spec.is_branch and not instr.spec.is_cond
+        for op in instr.operands:
+            if isinstance(op, VirtualReg):
+                has_virtual = True
+            elif isinstance(op, PhysReg):
+                has_phys = True
+    last = instrs[-1].spec
+    if not (last.is_halt or (last.is_branch and not last.is_cond)):
+        raise ValidationError(
+            f"program {program.name!r}: control falls off the end "
+            f"(last instruction is {instrs[-1].opcode})"
         )
-        if index == n - 1 and not terminal:
-            raise ValidationError(
-                f"program {program.name!r}: control falls off the end "
-                f"(last instruction is {instr.opcode})"
-            )
-
-    has_virtual = any(
-        isinstance(r, VirtualReg) for i in program.instrs for r in i.regs
-    )
-    has_phys = any(
-        isinstance(r, PhysReg) for i in program.instrs for r in i.regs
-    )
     if has_virtual and has_phys:
         raise ValidationError(
             f"program {program.name!r} mixes virtual and physical registers"
@@ -59,31 +59,46 @@ def validate_program(program: Program, check_init: bool = True) -> None:
 
 
 def _check_defined_before_use(program: Program) -> None:
-    """Forward may-be-uninitialised analysis over virtual registers."""
-    n = len(program.instrs)
-    all_regs = program.virtual_regs()
-    # maybe_undef[i]: registers possibly uninitialised before instruction i.
-    maybe_undef = [set(all_regs) if i == 0 else None for i in range(n)]
+    """Forward may-be-uninitialised analysis over virtual registers.
+
+    Each defined register gets one bit; ``maybe_undef[i]`` is the mask
+    of registers possibly uninitialised before instruction ``i``
+    (``None`` while ``i`` is unreached).  A register no instruction
+    defines is uninitialised wherever it is read.  Only called for a
+    program whose registers are all virtual.
+    """
+    instrs = program.instrs
+    bits: Dict[Reg, int] = {}
+    kills: List[int] = []
+    for instr in instrs:
+        m = 0
+        for reg in instr.defs:
+            bit = bits.get(reg)
+            if bit is None:
+                bit = bits[reg] = 1 << len(bits)
+            m |= bit
+        kills.append(m)
+    maybe_undef: List[Optional[int]] = [None] * len(instrs)
+    maybe_undef[0] = (1 << len(bits)) - 1
     worklist = [0]
     while worklist:
         i = worklist.pop()
-        cur: Set[VirtualReg] = maybe_undef[i]  # type: ignore[assignment]
-        instr = program.instrs[i]
-        out = cur - set(instr.defs)
+        out = maybe_undef[i] & ~kills[i]  # type: ignore[operator]
         for succ in program.successors(i):
             prev = maybe_undef[succ]
             if prev is None:
-                maybe_undef[succ] = set(out)
+                maybe_undef[succ] = out
                 worklist.append(succ)
-            elif not out <= prev:
-                prev |= out
+            elif out & ~prev:
+                maybe_undef[succ] = prev | out
                 worklist.append(succ)
-    for i, instr in enumerate(program.instrs):
+    for i, instr in enumerate(instrs):
         state = maybe_undef[i]
         if state is None:
             continue  # unreachable code: nothing to check
         for reg in instr.uses:
-            if isinstance(reg, VirtualReg) and reg in state:
+            bit = bits.get(reg)
+            if bit is None or state & bit:
                 raise ValidationError(
                     f"program {program.name!r}: {reg} may be read "
                     f"uninitialised at instruction {i} ({instr.opcode})"

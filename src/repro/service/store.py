@@ -72,7 +72,7 @@ class ResultStore:
             if spec is not None and spec.mode != "corrupt":
                 raise OSError(f"injected store read failure for {key[:12]}")
             if spec is not None:
-                store.damage(path, spec.mode)
+                store.damage(path)
             try:
                 payload = store.read(path, lambda data: _payload(data, key))
             except store.Rejected as exc:

@@ -168,15 +168,11 @@ def _age(path: pathlib.Path) -> Tuple[float, str]:
         return (0.0, path.name)
 
 
-def damage(path: pathlib.Path, mode: str) -> None:
-    """Fault-injection helper: damage an entry in place.  ``truncate``
-    keeps the first half of the bytes (a partial write); any other mode
-    writes deterministic garbage.  A missing entry stays missing."""
+def damage(path: pathlib.Path) -> None:
+    """Fault-injection helper: overwrite an entry in place with
+    deterministic garbage.  A missing entry stays missing."""
     try:
         data = path.read_bytes()
     except OSError:
         return
-    if mode == "truncate":
-        path.write_bytes(data[: len(data) // 2])
-    else:
-        path.write_bytes(b"\x00repro-injected-corruption\x00" + data[:32][::-1])
+    path.write_bytes(b"\x00repro-injected-corruption\x00" + data[:32][::-1])

@@ -1,6 +1,6 @@
 """Unit tests for the per-thread analysis bundle."""
 
-from repro.core.analysis import analyze_thread
+from repro.core.analysis import analyze_thread, analyze_thread_reference
 from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
 
@@ -51,10 +51,10 @@ def test_interferes_at_exception(straight):
 
 
 def test_conflicts_at_symmetry(straight):
-    an = analyze_thread(straight)
-    for reg, pairs in an.conflicts_at.items():
+    lists = analyze_thread(straight).conflict_lists()
+    for reg, pairs in lists.items():
         for s, other in pairs:
-            assert (s, reg) in an.conflicts_at[other]
+            assert (s, reg) in lists[other]
 
 
 def test_web_renaming_applied():
@@ -79,7 +79,8 @@ def test_nsr_of_slot(straight):
 
 
 def test_conflicts_by_slot_matches_linear_scan(straight):
-    an = analyze_thread(straight)
+    # The per-slot index serves the reference branch of the profile.
+    an = analyze_thread_reference(straight)
     for reg, pairs in an.conflicts_at.items():
         index = an.conflicts_by_slot(reg)
         # Regrouping preserves content and per-slot order...
@@ -95,14 +96,15 @@ def test_conflicts_by_slot_matches_linear_scan(straight):
 def test_conflict_pairs_cover_conflicts_at(straight):
     an = analyze_thread(straight)
     pairs = an.conflict_pairs()
+    lists = an.conflict_lists()
     # Each unordered pair appears exactly once, ordered by str().
     for (a, b), slots in pairs.items():
         assert str(a) < str(b)
         assert list(slots) == sorted(slots)
         for s in slots:
-            assert (s, b) in an.conflicts_at[a]
-            assert (s, a) in an.conflicts_at[b]
+            assert (s, b) in lists[a]
+            assert (s, a) in lists[b]
     # And every conflicts_at entry is covered.
-    total = sum(len(v) for v in an.conflicts_at.values())
+    total = sum(len(v) for v in lists.values())
     assert 2 * sum(len(v) for v in pairs.values()) == total
     assert an.conflict_pairs() is pairs  # cached

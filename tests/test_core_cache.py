@@ -38,7 +38,7 @@ def test_results_match_uncached():
     cached = cache.analyze(p)
     fresh = analyze_thread(prog(FIG3_T1, "t1"))
     assert cached.slots == fresh.slots
-    assert cached.conflicts_at == fresh.conflicts_at
+    assert cached.conflict_lists() == fresh.conflict_lists()
     assert cache.bounds(p) == estimate_bounds(fresh)
 
 

@@ -1,11 +1,16 @@
 """Unit tests for allocation contexts (pieces, conflicts, splitting)."""
 
+import random
+
 import pytest
 
-from repro.core.analysis import analyze_thread, analyze_thread_reference
+from repro.core.analysis import (
+    ThreadAnalysis,
+    analyze_thread,
+    analyze_thread_reference,
+)
 from repro.core.bounds import estimate_bounds
 from repro.core.context import AllocContext, initial_context
-from repro.core.dense import DenseAnalysisIndex
 from repro.errors import AllocationError
 from repro.igraph.graph import bit_indices
 from repro.ir.operands import VirtualReg
@@ -155,22 +160,81 @@ def test_unsplit_clash_reports_the_pair_walk_message(name, analyze):
 
 def test_unsplit_validation_leaves_the_pair_index_unbuilt(monkeypatch):
     calls = []
-    build_pairs = DenseAnalysisIndex.conflict_pair_slots
+    build_pairs = ThreadAnalysis.conflict_pairs
 
     def counted(self):
         calls.append(1)
         return build_pairs(self)
 
-    monkeypatch.setattr(DenseAnalysisIndex, "conflict_pair_slots", counted)
+    monkeypatch.setattr(ThreadAnalysis, "conflict_pairs", counted)
     an = analyze_thread(load("frag"))
     b = estimate_bounds(an)
     ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
     assert an._conflict_pair_index is None and calls == []
-    # Split one range without recoloring: still valid, now per-slot.
+    # Split one range without recoloring: still valid, checked per slot
+    # on the conflict masks, and the pair index stays unbuilt.
     piece = next(p for p in ctx.all_pieces() if len(p.slots) > 1)
     ctx.split_piece(piece, frozenset([min(piece.slots)]), piece.color)
     ctx.validate()
-    index = an._conflict_pair_index
-    assert index is not None and calls == [1]
-    ctx.validate()
-    assert an._conflict_pair_index is index and calls == [1]
+    assert an._conflict_pair_index is None and calls == []
+
+
+# ---------------------------------------------------------------------------
+# The split check on the conflict masks
+
+
+@pytest.mark.parametrize("name", ["frag", "crc", "drr", "fir2dim"])
+def test_split_check_agrees_with_pointwise_probes(name):
+    # Random splits, half of them recolored at random, and now and then
+    # an unsplit range recolored: the mask check of a split context
+    # finds a clash exactly when some piece clashes with its own color
+    # by the pointwise interferes_at probes.  Trials without a clash are
+    # kept, so later trials split split ranges.
+    rng = random.Random(name)
+    an = analyze_thread(load(name))
+    b = estimate_bounds(an)
+    ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
+    seen = set()
+    for _ in range(40):
+        trial = ctx.copy()
+        piece = rng.choice([p for p in trial.all_pieces() if len(p.slots) > 1])
+        slots = sorted(piece.slots)
+        part = frozenset(rng.sample(slots, rng.randrange(1, len(slots))))
+        color = rng.choice([piece.color, rng.randrange(trial.r)])
+        trial.split_piece(piece, part, color)
+        if rng.random() < 0.3:  # a clash between two unsplit ranges
+            counts = trial._piece_count
+            whole = [p for p in trial.all_pieces() if counts[p.reg] == 1]
+            rng.choice(whole).color = rng.randrange(trial.r)
+        pointwise = any(
+            trial.conflicts_with_color(p, p.color) for p in trial.all_pieces()
+        )
+        assert trial._colors_clash() == pointwise
+        seen.add(pointwise)
+        if not pointwise:
+            ctx = trial
+    assert seen == {False, True}
+    assert len(ctx.multi_piece_regs) > 1
+
+
+@pytest.mark.parametrize("analyze", [analyze_thread, analyze_thread_reference])
+def test_split_clash_reports_the_pair_walk_message(analyze):
+    an = analyze(load("crc"))
+    b = estimate_bounds(an)
+    ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
+    # Carve one conflicting slot out of a range into a piece with the
+    # color of the range it conflicts with there.
+    for (a, other), slots in an.conflict_pairs().items():
+        piece = ctx.pieces_of(a)[0]
+        color = ctx.pieces_of(other)[0].color
+        s = slots[-1]
+        if len(piece.slots) > 1 and not (
+            color >= ctx.pr and s in ctx.boundary_slots(piece)
+        ):
+            ctx.split_piece(piece, frozenset([s]), color)
+            break
+    with pytest.raises(AllocationError) as info:
+        ctx.validate()
+    assert str(info.value) == (
+        f"{a} and {other} conflict at slot {s} but share color {color}"
+    )

@@ -20,10 +20,12 @@ reference side is always called by name: ``analyze_thread_reference``,
 from __future__ import annotations
 
 import contextlib
+import gc
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.cfg.liveness import compute_liveness, compute_liveness_reference
 from repro.core import bounds as bounds_mod
 from repro.core import cache as cache_mod
 from repro.core.analysis import (
+    ThreadAnalysis,
     analyze_thread,
     analyze_thread_reference,
     true_conflict,
@@ -39,9 +42,11 @@ from repro.core.analysis import (
 from repro.core.bounds import estimate_bounds
 from repro.core.cache import scoped
 from repro.core.context import initial_context
-from repro.core.dense import mask_of_slots
+from repro.core.dense import DenseAnalysisIndex, mask_of_slots
 from repro.core.pipeline import allocate_programs
 from repro.harness.allocperf import build_grid
+from repro.harness.table2 import run_table2
+from repro.harness.table3 import SCENARIOS
 from repro.igraph import coloring
 from repro.igraph.graph import UndirectedGraph, bit_indices
 from repro.ir.operands import VirtualReg
@@ -50,6 +55,7 @@ from repro.ir.printer import format_program
 from repro.suite.registry import BENCHMARKS, load
 from tests.conftest import FIG3_T1, FIG3_T2, MINI_KERNEL, STRAIGHT
 from tests.test_igraph_merge_edges import assert_merges_identical
+from tests.test_service import hammer_threads
 
 
 def _no_mask_merge(graphs):
@@ -198,7 +204,7 @@ def assert_analyses_identical(ra, da):
     assert ra.csb_slots_of == da.csb_slots_of
     assert ra.defs_at == da.defs_at
     assert ra.dying_at == da.dying_at
-    assert ra.conflicts_at == da.conflicts_at
+    assert ra.conflict_lists() == da.conflict_lists()
     # Derived indexes built lazily from the above.
     assert ra.conflict_pairs() == da.conflict_pairs()
     assert ra.conflict_neighbors() == da.conflict_neighbors()
@@ -339,6 +345,104 @@ def test_profile_entries_identical_across_impls():
 
 
 # ---------------------------------------------------------------------------
+# The conflict relation as masks: oracle, racing reads, no pair lists
+
+
+def regrouped(pairs):
+    """A ``conflicts_at`` entry as ``{other: slot mask}``."""
+    out = {}
+    for s, b in pairs:
+        out[b] = out.get(b, 0) | 1 << s
+    return out
+
+
+def assert_conflict_masks_match_reference(program):
+    """Every range's mask map against the reference's stored pairs."""
+    ra, da = both_analyses(program)
+    assert da.conflicts_at is None  # the dense analysis stores no pairs
+    for reg, pairs in ra.conflicts_at.items():
+        masks = da.dense.conflict_masks(reg)
+        assert masks == regrouped(pairs), reg
+        assert list(masks) == sorted(masks, key=str)  # rank order
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_suite_conflict_masks_match_reference_pairs(name):
+    assert_conflict_masks_match_reference(load(name))
+
+
+def test_conflict_masks_built_on_a_racing_first_read_are_equal():
+    # Service workers share cached analyses, so the per-range memo may
+    # be filled by several threads at once; each sees the same maps.
+    an = analyze_thread(load("md5"))
+    assert an.dense._conflict_masks == {}
+    seen = [None] * 8
+
+    def read(i):
+        seen[i] = {reg: an.dense.conflict_masks(reg) for reg in an.slots}
+
+    hammer_threads(read, n=8)
+    reference = analyze_thread_reference(load("md5"))
+    expected = {
+        reg: regrouped(pairs) for reg, pairs in reference.conflicts_at.items()
+    }
+    assert seen == [expected] * 8
+
+
+def _no_pair_lists(self):
+    raise AssertionError("pair lists built for a dense analysis")
+
+
+@pytest.fixture
+def no_pair_lists(monkeypatch):
+    """Fail any derivation of ``(slot, other)`` pair lists, or of the
+    per-pair slot index, from an analysis (every analysis the tests
+    using it build is dense)."""
+    monkeypatch.setattr(DenseAnalysisIndex, "conflict_lists", _no_pair_lists)
+    monkeypatch.setattr(ThreadAnalysis, "conflict_pairs", _no_pair_lists)
+
+
+def test_table2_split_row_builds_no_pair_lists(no_pair_lists):
+    # wraps_recv's minimal allocation splits ranges: 4 moves.
+    with scoped():
+        (row,) = run_table2(["wraps_recv"])
+    assert row.moves == 4
+
+
+@pytest.mark.parametrize("nreg", [128, 118])
+def test_table3_descent_builds_no_pair_lists(no_pair_lists, nreg):
+    # Table 3's md5+fir2dim scenario at its budget, and at its floor,
+    # where the descent probes, splits and validates split contexts.
+    programs = [load(n) for n in SCENARIOS["md5+fir2dim"]]
+    with scoped():
+        out = allocate_programs(programs, nreg=nreg)
+    assert all(a.dense is not None for a in out.analyses)
+    if nreg == 118:
+        assert out.total_moves > 0
+        assert any(a.dense._conflict_masks for a in out.analyses)
+
+
+def test_md5_analysis_retains_under_6_mb():
+    analyze_thread(load("md5"))  # warm-up: imports and interned values
+    program = load("md5")
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        an = analyze_thread(program)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert an.dense is not None
+    retained = (after - before) / 2**20
+    assert retained < 6, f"md5's dense analysis retains {retained:.2f} MB"
+
+
+# ---------------------------------------------------------------------------
 # Satellites: n_edges cache, precomputed def sets
 
 
@@ -390,6 +494,18 @@ from tests.test_properties import (  # noqa: E402
     branching_program,
     straightline_program,
 )
+
+
+@SETTINGS
+@given(straightline_program())
+def test_generated_straightline_conflict_masks_match_reference(text):
+    assert_conflict_masks_match_reference(parse_program(text, "gen"))
+
+
+@SETTINGS
+@given(branching_program())
+def test_generated_branching_conflict_masks_match_reference(text):
+    assert_conflict_masks_match_reference(parse_program(text, "gen"))
 
 
 @SETTINGS

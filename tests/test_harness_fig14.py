@@ -31,13 +31,17 @@ def test_shared_analysis_matches_per_copy():
 
 def test_allocation_does_not_mutate_shared_analysis():
     an = analyze_thread(load("frag"))
-    baseline = {
-        "slots": copy.deepcopy(an.slots),
-        "flow_edges": copy.deepcopy(an.flow_edges),
-        "occupants": copy.deepcopy(an.occupants),
-        "conflicts_at": copy.deepcopy(an.conflicts_at),
-        "csb_slots_of": copy.deepcopy(an.csb_slots_of),
+    reads = {
+        "slots": lambda: an.slots,
+        "flow_edges": lambda: an.flow_edges,
+        "occupants": lambda: an.occupants,
+        "conflicts_at": an.conflict_lists,
+        "conflict_masks": lambda: {
+            r: an.dense.conflict_masks(r) for r in an.slots
+        },
+        "csb_slots_of": lambda: an.csb_slots_of,
     }
+    baseline = {field: copy.deepcopy(read()) for field, read in reads.items()}
     first = allocate_threads([an] * 4, nreg=128, zero_cost_only=True)
     second = allocate_threads([an] * 4, nreg=128, zero_cost_only=True)
     # Same inputs, same outputs: nothing leaked between runs.
@@ -45,8 +49,8 @@ def test_allocation_does_not_mutate_shared_analysis():
         (t.pr, t.sr) for t in second.threads
     ]
     assert first.sgr == second.sgr
-    for field, want in baseline.items():
-        assert getattr(an, field) == want, f"{field} mutated"
+    for field, read in reads.items():
+        assert read() == baseline[field], f"{field} mutated"
 
 
 def test_rows_stable_across_repeated_runs():
