@@ -18,7 +18,7 @@ from repro.baseline.chaitin import (
 )
 from repro.core.analysis import ThreadAnalysis, analyze_thread
 from repro.errors import AllocationError
-from repro.igraph.coloring import min_color, min_color_masks, num_colors
+from repro.igraph.coloring import min_color_masks, num_colors
 from repro.ir.program import Program
 
 #: Spill-area stride between threads so their slots never collide.
@@ -32,15 +32,14 @@ def single_thread_register_count(
     spills): the heuristic chromatic number of the interference graph.
 
     This is the first bar of the paper's Figure 14.  Pass a precomputed
-    ``analysis`` of ``program`` (e.g. from :mod:`repro.core.cache`) to
-    skip the re-analysis; the GIG is colored on the analysis'
-    interference masks, or as a graph when it has none.
+    ``analysis`` of ``program`` to skip the re-analysis.  It must come
+    from :func:`analyze_thread` (directly or through
+    :mod:`repro.core.cache`): the GIG is colored on its interference
+    masks.
     """
     if analysis is None:
         analysis = analyze_thread(program)
     masks = analysis.graphs.masks
-    if masks is None:
-        return num_colors(min_color(analysis.graphs.gig))
     return num_colors(min_color_masks((1 << len(masks.regs)) - 1, masks.gig))
 
 

@@ -16,6 +16,14 @@ ranges is precomputed here, once per thread:
   read happens before the write, so they may share a register).
 * **CSB facts** -- which ranges are live across which CSBs; a piece holding
   a range at a CSB slot it is live across must sit in a private register.
+
+Two builders produce the bundle.  :func:`analyze_thread` runs the dense
+kernels and attaches the :class:`~repro.core.dense.DenseAnalysisIndex`
+whose masks the allocator, the bounds and the baseline's standalone
+count read.  :func:`analyze_thread_reference` runs the set-based kernels
+and stores the conflict relation as ``(slot, other)`` pairs; it is the
+oracle the differential tests and ``repro bench analysis`` compare
+against, never an input to the allocator.
 """
 
 from __future__ import annotations
@@ -99,25 +107,17 @@ class ThreadAnalysis:
     #: the relation as masks (``dense``) and leaves this ``None``.  Read
     #: it for either kind through :meth:`conflict_lists`.
     conflicts_at: Dict[Reg, Tuple[Tuple[int, "Reg"], ...]] = None  # type: ignore[assignment]
-    #: Lazy per-slot regrouping of ``conflicts_at`` (see
-    #: :meth:`conflicts_by_slot`); never compared or printed.
-    _conflict_slot_index: Dict[
-        Reg, Dict[int, Tuple[Tuple[int, "Reg"], ...]]
-    ] = field(default_factory=dict, repr=False, compare=False)
-    #: Lazy per-pair regrouping of ``conflicts_at`` (see
+    #: Lazy per-pair slot index of the conflict masks (see
     #: :meth:`conflict_pairs`); never compared or printed.
     _conflict_pair_index: Dict[
         Tuple["Reg", "Reg"], Tuple[int, ...]
     ] = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
-    #: Lazy per-range neighbour masks of a reference-built analysis (see
-    #: :meth:`conflict_neighbors`); never compared or printed.
-    _conflict_neighbors: Tuple[Dict["Reg", int], List[int]] = field(
-        default=None, repr=False, compare=False
-    )  # type: ignore[assignment]
     #: Bitmask companion built by the dense kernels
     #: (:class:`repro.core.dense.DenseAnalysisIndex`); ``None`` for
     #: reference-built analyses.  Never compared or printed -- the
     #: comparable fields above are bit-identical across implementations.
+    #: :meth:`conflict_pairs`, :meth:`conflict_neighbors` and the
+    #: allocator read the conflict relation only from here.
     dense: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -138,57 +138,24 @@ class ThreadAnalysis:
             return self.conflicts_at
         return self.dense.conflict_lists()  # type: ignore[attr-defined]
 
-    def conflicts_by_slot(
-        self, reg: Reg
-    ) -> Dict[int, Tuple[Tuple[int, "Reg"], ...]]:
-        """``conflicts_at[reg]`` regrouped by slot, built on first use.
-
-        Each value keeps the ``(slot, other)`` pairs in their original
-        ``conflicts_at`` order, so walking the groups for an increasing
-        slot sequence replays the exact subsequence a linear scan of
-        ``conflicts_at[reg]`` filtered to those slots would visit --
-        which is what lets the allocator's piece probes skip the slots a
-        split piece does not own without changing any iteration order.
-        """
-        index = self._conflict_slot_index.get(reg)
-        if index is None:
-            index = {}
-            for pair in self.conflicts_at.get(reg, ()):
-                index.setdefault(pair[0], []).append(pair)
-            index = {s: tuple(pairs) for s, pairs in index.items()}
-            self._conflict_slot_index[reg] = index
-        return index
-
     def conflict_pairs(self) -> Dict[Tuple["Reg", "Reg"], Tuple[int, ...]]:
         """Each unordered conflicting range pair once, with its slots.
 
         Keys are ``(a, b)`` with ``str(a) < str(b)``; each value is the
-        ascending slot list where the pair truly conflicts.  A
-        dense-built analysis reads it off its conflict masks, a
-        reference-built one deduplicates ``conflicts_at``.  Built on
-        first use and cached -- validation reports a clash from it, and
-        checks a split context of a reference-built analysis by
-        sweeping it.
+        ascending slot list where the pair truly conflicts, read off the
+        conflict masks.  Built on first use and cached -- validation
+        reads it only to word a clash.
         """
         index = self._conflict_pair_index
         if index is None:
             dense: Any = self.dense
-            if dense is not None:
-                regs = dense.dmap.regs
-                index = {
-                    (a, regs[bi]): tuple(bit_indices(m))
-                    for ai, a in enumerate(regs)
-                    for bi, m in dense.relation(ai)
-                    if bi > ai
-                }
-            else:
-                grouped: Dict[Tuple["Reg", "Reg"], List[int]] = {}
-                for a, pairs in self.conflicts_at.items():
-                    sa = str(a)
-                    for s, b in pairs:
-                        if sa < str(b):
-                            grouped.setdefault((a, b), []).append(s)
-                index = {k: tuple(v) for k, v in grouped.items()}
+            regs = dense.dmap.regs
+            index = {
+                (a, regs[bi]): tuple(bit_indices(m))
+                for ai, a in enumerate(regs)
+                for bi, m in dense.relation(ai)
+                if bi > ai
+            }
             self._conflict_pair_index = index
         return index
 
@@ -199,27 +166,10 @@ class ThreadAnalysis:
         ``str`` order (the dense renumbering), and bit ``rank[b]`` of
         ``masks[rank[a]]`` is set when ``a`` and ``b`` truly conflict
         at some slot -- the pairs of :meth:`conflict_pairs` without
-        their slots.  It is all an unsplit context's validation needs,
-        at one mask per range instead of one slot list per pair.  A
-        dense-built analysis answers from its index's memo; a
-        reference-built one builds the masks on first use and caches
-        them.
+        their slots, answered from the index's memo.
         """
         dense: Any = self.dense
-        if dense is not None:
-            return dense.dmap.index, dense.conflict_neighbor_masks()
-        relation = self._conflict_neighbors
-        if relation is None:
-            rank = {r: i for i, r in enumerate(self.all_regs)}
-            masks = [0] * len(rank)
-            for a, pairs in self.conflicts_at.items():
-                m = 0
-                for _, b in pairs:
-                    m |= 1 << rank[b]
-                masks[rank[a]] = m
-            relation = (rank, masks)
-            self._conflict_neighbors = relation
-        return relation
+        return dense.dmap.index, dense.conflict_neighbor_masks()
 
     def interferes_at(self, a: Reg, b: Reg, slot: int) -> bool:
         """Do ranges ``a`` and ``b`` truly conflict at ``slot``?
@@ -258,11 +208,13 @@ def analyze_thread(program: Program) -> ThreadAnalysis:
 
 
 def analyze_thread_reference(program: Program) -> ThreadAnalysis:
-    """Set-based :func:`analyze_thread`.
+    """Set-based :func:`analyze_thread`: the oracle of the analysis
+    differential tests and of ``repro bench analysis``.
 
-    Callers that must not trust the dense kernels (the analysis cache's
-    ``analysis.dense_to_reference`` fallback, the differential tests)
-    call it by name.
+    Its analyses store ``conflicts_at`` and carry no
+    :class:`~repro.core.dense.DenseAnalysisIndex`, so the allocator,
+    :func:`~repro.core.bounds.estimate_bounds` and the baseline's
+    standalone count do not take them.
     """
     program = rename_webs_reference(program)
     return _finish_analysis(program, compute_liveness_reference(program))

@@ -10,9 +10,9 @@
   and merging (paper Figure 7, :mod:`repro.igraph.merge`).
 
 The merge's coloring is kept: it seeds the intra-thread allocator's initial
-context.  A dense-built analysis is merged on its interference masks; one
-without them (a reference-built analysis) takes the set-based twin, which
-gives the same bounds.
+context.  The merge runs on the analysis' interference masks; the
+set-based twin (``merge_region_colorings_reference``) is the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -21,10 +21,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.core.analysis import ThreadAnalysis
-from repro.igraph.merge import (
-    merge_region_colorings,
-    merge_region_colorings_reference,
-)
+from repro.igraph.merge import merge_region_colorings
 from repro.ir.operands import Reg
 
 
@@ -50,14 +47,15 @@ class Bounds:
 
 
 def estimate_bounds(analysis: ThreadAnalysis) -> Bounds:
-    """Compute all four bounds for one analysed thread."""
+    """Compute all four bounds for one analysed thread.
+
+    ``analysis`` must come from :func:`~repro.core.analysis.analyze_thread`
+    (directly or through the analysis cache): the Figure-7 merge colors
+    its interference masks.
+    """
     min_r = analysis.liveness.reg_p_max()
     min_pr = analysis.liveness.reg_p_csb_max()
-    graphs = analysis.graphs
-    if graphs.masks is not None:
-        merged = merge_region_colorings(graphs)
-    else:
-        merged = merge_region_colorings_reference(graphs)
+    merged = merge_region_colorings(analysis.graphs)
     max_pr = max(merged.max_pr, min_pr)
     max_r = max(merged.max_r, min_r, max_pr)
     return Bounds(

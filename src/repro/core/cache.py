@@ -14,10 +14,11 @@ in-process LRU (:class:`AnalysisCache`, whose LRUs are
 :func:`get_cache`, the current context's cache (:mod:`repro.scope`).
 Telemetry: ``cache.hit`` / ``cache.miss`` counters and events through
 :mod:`repro.obs` whenever a capture is active, plus always-on plain
-counters in :class:`CacheStats` for benchmarks and tests.  A miss runs
-the dense analysis behind the ``analysis.dense_to_reference``
-degradation rung (``docs/ROBUSTNESS.md``), which ``repro chaos``
-exercises through the ``analysis.dense`` fault site.
+counters in :class:`CacheStats` for benchmarks and tests.  Each
+program is looked up once per call (:meth:`AnalysisCache.entry`), so
+one event counts one program.  A miss runs
+:func:`~repro.core.analysis.analyze_thread`; if it raises, nothing is
+inserted and the exception reaches the caller.
 
 The service's worker threads share the default cache.  Its own lock
 guards only :class:`CacheStats` and is never taken while an LRU's lock
@@ -42,17 +43,11 @@ from dataclasses import asdict, dataclass
 from typing import Any, ContextManager, Dict, Optional, Sequence, Tuple
 
 from repro import store
-from repro.core.analysis import (
-    ThreadAnalysis,
-    analyze_thread,
-    analyze_thread_reference,
-)
+from repro.core.analysis import ThreadAnalysis, analyze_thread
 from repro.core.bounds import Bounds, estimate_bounds
-from repro.errors import InjectedFault
 from repro.ir.program import Program
 from repro.obs import events as obs
 from repro.obs import metrics as obs_metrics
-from repro.resilience import faults, guard
 from repro.scope import bind
 
 #: Default in-process LRU capacity (entries, i.e. distinct programs).
@@ -76,38 +71,20 @@ class CacheStats:
         return asdict(self)
 
 
-class _Entry:
-    """One cached program: the analysis, with bounds filled in lazily."""
+class Entry:
+    """One cached program: its analysis, and its bounds on first use."""
 
-    __slots__ = ("analysis", "bounds")
+    __slots__ = ("analysis", "_bounds")
 
-    def __init__(self, analysis: ThreadAnalysis, bounds: Optional[Bounds]):
+    def __init__(self, analysis: ThreadAnalysis):
         self.analysis = analysis
-        self.bounds = bounds
+        self._bounds: Optional[Bounds] = None
 
-
-def _analyze_resilient(program: Program) -> ThreadAnalysis:
-    """:func:`analyze_thread` behind the ``analysis.dense_to_reference``
-    degradation rung.
-
-    When the dense bitset kernels raise (or the ``analysis.dense`` fault
-    site fires), the program is re-analyzed once with
-    :func:`analyze_thread_reference` -- bit-identical by construction --
-    and the rung is recorded.
-    """
-    try:
-        if faults.fire("analysis.dense", program=program.name):
-            raise InjectedFault(
-                f"injected dense-analysis fault for {program.name!r}"
-            )
-        return analyze_thread(program)
-    except Exception as exc:
-        guard.record_degradation(
-            "analysis.dense_to_reference",
-            reason=f"{type(exc).__name__}: {exc}",
-            program=program.name,
-        )
-        return analyze_thread_reference(program)
+    def bounds(self) -> Bounds:
+        """Memoized :func:`estimate_bounds` of the analysis."""
+        if self._bounds is None:
+            self._bounds = estimate_bounds(self.analysis)
+        return self._bounds
 
 
 class AnalysisCache:
@@ -126,22 +103,26 @@ class AnalysisCache:
     # ------------------------------------------------------------------
     # Public API.
     # ------------------------------------------------------------------
+    def entry(self, program: Program) -> Entry:
+        """The program's cache entry: one lookup, one fingerprint, one
+        ``cache.hit`` or ``cache.miss``.  A miss analyses the program
+        and inserts the entry only once the analysis has returned."""
+        return self._lookup(program, program.fingerprint())
+
     def analyze(self, program: Program) -> ThreadAnalysis:
         """Memoized :func:`analyze_thread` (treat the result as immutable)."""
-        return self._entry(program).analysis
+        return self.entry(program).analysis
 
     def bounds(self, program: Program) -> Bounds:
         """Memoized :func:`estimate_bounds` of the program's analysis."""
-        entry = self._entry(program)
-        if entry.bounds is None:
-            entry.bounds = estimate_bounds(entry.analysis)
-        return entry.bounds
+        return self.entry(program).bounds()
 
     def analyze_with_bounds(
         self, program: Program
     ) -> Tuple[ThreadAnalysis, Bounds]:
         """Both artifacts in one lookup."""
-        return self.analyze(program), self.bounds(program)
+        entry = self.entry(program)
+        return entry.analysis, entry.bounds()
 
     def descent(self, programs: Sequence[Program], policy: str = "greedy"):
         """Memoized :class:`~repro.core.inter.SharedDescent` for this
@@ -168,9 +149,12 @@ class AnalysisCache:
         with self._lock:
             self.stats.descent_misses += 1
         self._note("cache.descent_miss", fps[0] if fps else "")
-        analyses = [self.analyze(p) for p in programs]
-        bounds = [self.bounds(p) for p in programs]
-        descent = SharedDescent(analyses, policy=policy, bounds=bounds)
+        entries = [self._lookup(p, fp) for p, fp in zip(programs, fps)]
+        descent = SharedDescent(
+            [e.analysis for e in entries],
+            policy=policy,
+            bounds=[e.bounds() for e in entries],
+        )
         self._put(self._descents, key, descent)
         return descent
 
@@ -205,8 +189,7 @@ class AnalysisCache:
             if kernel is not None:
                 reg.counter(event, kernel=kernel).inc()
 
-    def _entry(self, program: Program) -> _Entry:
-        fp = program.fingerprint()
+    def _lookup(self, program: Program, fp: str) -> Entry:
         entry = self._entries.get(fp)
         if entry is not None:
             with self._lock:
@@ -216,7 +199,7 @@ class AnalysisCache:
         with self._lock:
             self.stats.misses += 1
         self._note("cache.miss", fp, program.name)
-        entry = _Entry(_analyze_resilient(program), None)
+        entry = Entry(analyze_thread(program))
         self._put(self._entries, fp, entry)
         return entry
 

@@ -18,6 +18,12 @@ mutate the copy, and either commit or discard -- this is the paper's
 Copies are cheap: the slot->piece assignment is stored per variable and
 copied lazily on first write (the reduction operators touch only a handful
 of variables per step).
+
+Every conflict query -- the profile, the yes/no probes and validation --
+reads the conflict masks of the analysis'
+:class:`~repro.core.dense.DenseAnalysisIndex`, so a context is built on
+an :func:`~repro.core.analysis.analyze_thread` analysis.  The pointwise
+:meth:`AllocContext.conflicts_with_color` stays as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from repro.ir.operands import Reg
 
 #: A :meth:`AllocContext.conflict_profile` entry: the conflicting pieces
 #: (in first-conflict order) and the bitmask of slots where the conflicts
-#: occur.  A mutable 2-list rather than a tuple so both builders can
+#: occur.  A mutable 2-list rather than a tuple so the builder can
 #: accumulate in place.
 ProfileEntry = List  # [List[Piece], int]
 
@@ -177,71 +183,29 @@ class AllocContext:
     # Interference and conflicts.
     # ------------------------------------------------------------------
     def conflict_profile(self, piece: Piece) -> Dict[int, ProfileEntry]:
-        """One sweep over the piece's slots: for every color used by a
-        truly-conflicting piece, the conflicting pieces and the slots where
-        the conflicts occur.
+        """For every color used by a truly-conflicting piece, the
+        conflicting pieces and the slots where the conflicts occur.
 
         ``profile[c] = [pieces, slot_mask]`` means coloring ``piece`` with
         ``c`` clashes with ``pieces`` at the slots of ``slot_mask``.
 
-        A dense-built analysis answers from the per-range conflict
-        masks; the reference sweep below walks the conflict pairs
-        directly.  Both produce the same entries, piece order included.
-        """
-        dense = self.analysis.dense
-        if dense is not None:
-            return self._conflict_profile_dense(piece, dense)
-        by_color: Dict[int, ProfileEntry] = {}
-        seen_pids: Set[int] = set()
-        pieces = self.pieces
-        assign = self._assign
-        slots = piece.slots
-        whole = len(slots) == len(self.analysis.slots[piece.reg])
-        if whole:
-            pairs = self.analysis.conflicts_at.get(piece.reg, ())
-        else:
-            # Split piece: visit only the slots it owns, via the per-slot
-            # index.  Ascending slots, original order within each slot --
-            # the exact subsequence the linear scan above would keep.
-            index = self.analysis.conflicts_by_slot(piece.reg)
-            pairs = [
-                pair
-                for s in sorted(slots)
-                for pair in index.get(s, ())
-            ]
-        for s, other_reg in pairs:
-            other = pieces[assign[other_reg][s]]
-            entry = by_color.get(other.color)
-            if entry is None:
-                entry = [[], 0]
-                by_color[other.color] = entry
-            if other.pid not in seen_pids:
-                seen_pids.add(other.pid)
-                entry[0].append(other)
-            entry[1] |= 1 << s
-        return by_color
-
-    def _conflict_profile_dense(
-        self, piece: Piece, dense: object
-    ) -> Dict[int, ProfileEntry]:
-        """Mask-backed :meth:`conflict_profile`.
-
         The per-other-range conflict masks are built once per range
         (:meth:`repro.core.dense.DenseAnalysisIndex.conflict_masks`); a
         probe intersects them with the piece's slot mask and groups the
-        surviving bits by occupying piece.  Entries are emitted in the
-        reference order -- ascending (first conflicting slot, other-range
-        rank), which is exactly the first-occurrence order of the sorted
-        conflict-pair walk above.
+        surviving bits by occupying piece.  Pieces are listed in
+        ascending (first conflicting slot, other-range rank) order --
+        the first-occurrence order of a walk over the piece's sorted
+        ``(slot, other)`` conflict pairs.
         """
         an = self.analysis
+        dense: Any = an.dense
         reg = piece.reg
-        masks = dense.conflict_masks(reg)  # type: ignore[attr-defined]
+        masks = dense.conflict_masks(reg)
         if not masks:
             return {}
         whole = len(piece.slots) == len(an.slots[reg])
         pmask = None if whole else mask_of_slots(piece.slots)
-        rank = dense.dmap.index  # type: ignore[attr-defined]
+        rank = dense.dmap.index
         pieces = self.pieces
         assign = self._assign
         counts = self._piece_count
@@ -289,7 +253,10 @@ class AllocContext:
         """Pieces that clash with ``piece`` if it were colored ``color``.
 
         Returns ``(other_piece, slot)`` pairs, one entry per conflicting
-        piece (the slot is one witness).
+        piece (the slot is one witness).  Built from pointwise
+        :meth:`~repro.core.analysis.ThreadAnalysis.interferes_at` probes
+        over the occupants: the oracle the tests check the mask queries
+        against.  The allocator does not call it.
         """
         seen: Set[int] = set()
         out: List[Tuple[Piece, int]] = []
@@ -309,40 +276,29 @@ class AllocContext:
     def conflicts_any(self, piece: Piece, color: int) -> bool:
         """Would coloring ``piece`` with ``color`` clash with anything?
 
-        Boolean-only form of :meth:`conflicts_with_color` for the
-        allocator's yes/no probes: the dense path scans the per-range
-        conflict masks and stops at the first clashing piece instead of
-        collecting witnesses.
+        The allocator's yes/no probe: it scans the per-range conflict
+        masks and stops at the first clashing piece.
         """
-        dense = self.analysis.dense
-        if dense is None:
-            return bool(self.conflicts_with_color(piece, color))
         return any(
-            other.color == color
-            for other in self._dense_conflicting(piece, dense)
+            other.color == color for other in self._dense_conflicting(piece)
         )
 
     def colors_in_conflict(self, piece: Piece) -> Set[int]:
         """All colors used by pieces truly conflicting with ``piece``.
 
         The key set of :meth:`conflict_profile`, for callers that only
-        test membership: the dense path collects the colors straight from
-        the conflict masks, with no entry lists and no sort.
+        test membership: collected straight from the conflict masks,
+        with no entry lists and no sort.
         """
-        dense = self.analysis.dense
-        if dense is None:
-            return set(self.conflict_profile(piece))
-        return {other.color for other in self._dense_conflicting(piece, dense)}
+        return {other.color for other in self._dense_conflicting(piece)}
 
-    def _dense_conflicting(
-        self, piece: Piece, dense: object
-    ) -> Iterator[Piece]:
+    def _dense_conflicting(self, piece: Piece) -> Iterator[Piece]:
         """Walk ``piece``'s per-range conflict masks, yielding the
         conflicting pieces: once per unsplit other range, once per
         conflicting slot of a split one (repeats allowed)."""
         an = self.analysis
         reg = piece.reg
-        masks = dense.conflict_masks(reg)  # type: ignore[attr-defined]
+        masks = an.dense.conflict_masks(reg)  # type: ignore[attr-defined]
         whole = len(piece.slots) == len(an.slots[reg])
         pmask = None if whole else mask_of_slots(piece.slots)
         pieces = self.pieces
@@ -421,8 +377,7 @@ class AllocContext:
 
         The last invariant is checked on masks (:meth:`_colors_clash`).
         The per-pair slot index (:meth:`ThreadAnalysis.conflict_pairs`)
-        is read only to word a clash, or to check a split context of a
-        reference-built analysis.
+        is read only to word a clash.
         """
         an = self.analysis
         for reg, slots in an.slots.items():
@@ -441,19 +396,15 @@ class AllocContext:
                     f"boundary piece {piece.pid} ({piece.reg}) uses shared "
                     f"color {piece.color} (pr={self.pr})"
                 )
+        if not self._colors_clash():
+            return
+        # Word the clash as the first pair, in conflict_pairs() order,
+        # whose pieces share a color at a conflicting slot.  When
+        # neither range of a pair is split, every conflicting slot
+        # compares the same two pieces, so its first slot stands for
+        # them all.
         pieces = self.pieces
         counts = self._piece_count
-        split = max(counts.values(), default=0) > 1
-        if (an.dense is not None or not split) and not self._colors_clash():
-            return
-        # Walk the true-conflict pairs instead of re-deriving them from
-        # occupants x occupants interferes_at() probes -- the same
-        # checks at a fraction of the cost.  When neither range of a
-        # pair is split, every conflicting slot compares the same two
-        # pieces, so a single comparison covers them all; only pairs with
-        # a split side need the per-slot sweep.  A context the mask
-        # check covers gets here only with a clash to report, so its
-        # message is the walk's.
         assign = self._assign
         for (a, b), cslots in an.conflict_pairs().items():
             ma = assign.get(a)
@@ -481,11 +432,11 @@ class AllocContext:
         pair with a split side clashes where its conflict slots
         (:meth:`repro.core.dense.DenseAnalysisIndex.conflict_masks`)
         meet the slots where both ranges use the color; only that case
-        reads the dense index, so a split context needs a dense-built
-        analysis.
+        reads the per-range conflict masks.
         """
         rank, nbr = self.analysis.conflict_neighbors()
         dense: Any = self.analysis.dense
+        regs = dense.dmap.regs
         pieces = self.pieces
         counts = self._piece_count
         users: Dict[int, int] = {}
@@ -507,11 +458,10 @@ class AllocContext:
                 theirs = colored.get(bi)
                 if theirs is None:
                     return True
-                masks = dense.conflict_masks(dense.dmap.regs[bi])
+                masks = dense.conflict_masks(regs[bi])
                 if masks[p.reg] & theirs[p.color]:
                     return True
         for ai, mine in colored.items():
-            masks = None
             for color, slots in mine.items():
                 for bi in bit_indices(nbr[ai] & users[color]):
                     theirs = colored.get(bi)
@@ -519,9 +469,7 @@ class AllocContext:
                     # split ranges is checked from its lower rank.
                     if theirs is None or bi < ai:
                         continue
-                    regs = dense.dmap.regs
-                    if masks is None:
-                        masks = dense.conflict_masks(regs[ai])
+                    masks = dense.conflict_masks(regs[ai])
                     if masks[regs[bi]] & slots & theirs.get(color, 0):
                         return True
         return False
@@ -537,6 +485,10 @@ def initial_context(
 
     Every live range becomes a single piece covering all its slots, colored
     per ``coloring``.  The context is validated before being returned.
+
+    ``analysis`` must come from :func:`~repro.core.analysis.analyze_thread`
+    (directly or through the analysis cache): every conflict query of
+    the context reads its :class:`~repro.core.dense.DenseAnalysisIndex`.
     """
     ctx = AllocContext(analysis, pr, sr)
     for reg in analysis.all_regs:

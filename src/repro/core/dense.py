@@ -22,15 +22,17 @@ allocations, same benchmark JSON.
 The dense kernels are the only path an analysis takes:
 :func:`~repro.cfg.liveness.compute_liveness`,
 :func:`~repro.cfg.webs.rename_webs` and the coloring heuristics call
-them directly.  The set-based reference construction stays, reached
-only by name (:func:`~repro.core.analysis.analyze_thread_reference`,
+them directly, and the allocator, the bounds and the baseline's
+standalone count read only the masks they leave behind.  The set-based
+reference construction stays as the oracle, reached only by name
+(:func:`~repro.core.analysis.analyze_thread_reference`,
 ``compute_liveness_reference``, ``rename_webs_reference``,
 ``dsatur_color_reference``, ``simplify_color_reference``,
-``merge_region_colorings_reference``): the tests compare against it,
-and the analysis cache's ``analysis.dense_to_reference`` fallback
-re-analyzes with it.  Everything downstream of liveness keys off the
-presence of the :class:`DenseLiveness` payload, so one analysis never
-mixes the two.
+``merge_region_colorings_reference``): the tests and
+``repro bench analysis`` compare against it, and nothing allocates on
+its analyses.  Everything downstream of liveness keys off the presence
+of the :class:`DenseLiveness` payload, so one analysis never mixes the
+two.
 
 Interference stays in mask form.  :func:`build_interference_dense`
 returns an :class:`~repro.igraph.interference.InterferenceMasks` payload
@@ -61,7 +63,7 @@ these masks only for the tests and the analysis digest.
 
 ``tests/test_dense.py`` checks this against the shared predicate over
 every membership combination, and differentially checks whole analyses,
-merges, bounds and allocations against the reference implementation.
+merges and bounds against the reference implementation.
 """
 
 from __future__ import annotations

@@ -90,11 +90,15 @@ class AllocationOutcome:
 
 
 def _analyze_all(cache, programs: Sequence[Program]):
-    """One analyze attempt; carries the ``pipeline.analyze`` fault site."""
+    """One analyze attempt; carries the ``pipeline.analyze`` fault site.
+
+    Returns each program's cache entry, so the bounds phase reads the
+    same entries without a second lookup.
+    """
     spec = faults.fire("pipeline.analyze", threads=len(programs))
     if spec is not None:
         raise TransientError("injected transient analysis failure")
-    return [cache.analyze(p) for p in programs]
+    return [cache.entry(p) for p in programs]
 
 
 def allocate_programs(
@@ -117,9 +121,9 @@ def allocate_programs(
             :class:`~repro.errors.DeadlineExceeded` once spent.
 
     Analysis and bounds are memoized per program content through
-    :func:`repro.core.cache.get_cache`; repeated allocations of the
-    same thread programs (sweeps over ``nreg``) skip straight to the
-    inter-thread phase.  Transient analysis
+    :func:`repro.core.cache.get_cache`, one lookup per program;
+    repeated allocations of the same thread programs (sweeps over
+    ``nreg``) skip straight to the inter-thread phase.  Transient analysis
     failures are retried a bounded number of times
     (:func:`repro.resilience.guard.retry_transient`) before surfacing.
     """
@@ -134,13 +138,14 @@ def allocate_programs(
                 validate_program(program, check_init=check_init)
         dl.check(deadline, "analyze")
         with _phase(em, "analyze"):
-            analyses = guard.retry_transient(
+            entries = guard.retry_transient(
                 lambda: _analyze_all(cache, programs),
                 label="pipeline.analyze",
             )
+        analyses = [e.analysis for e in entries]
         dl.check(deadline, "bounds")
         with _phase(em, "bounds"):
-            bounds = [cache.bounds(p) for p in programs]
+            bounds = [e.bounds() for e in entries]
         dl.check(deadline, "inter")
         with _phase(em, "inter"):
             inter = allocate_threads(analyses, nreg, policy=policy, bounds=bounds)
@@ -205,13 +210,14 @@ def allocate_programs_sweep(
             for program in programs:
                 validate_program(program)
         with _phase(em, "analyze"):
-            analyses = guard.retry_transient(
+            entries = guard.retry_transient(
                 lambda: _analyze_all(cache, programs),
                 label="pipeline.analyze",
             )
+        analyses = [e.analysis for e in entries]
         with _phase(em, "bounds"):
-            for program in programs:
-                cache.bounds(program)
+            for entry in entries:
+                entry.bounds()
         inters: Dict[int, InterThreadResult] = {}
         with _phase(em, "descent"):
             descent = cache.descent(programs)

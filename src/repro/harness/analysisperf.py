@@ -11,10 +11,10 @@ Fidelity is checked harder than speed: per kernel the last timed
 analysis of each implementation is reduced to a canonical SHA-256
 digest over every comparable ``ThreadAnalysis`` field (orders included)
 and the digests must match.  Any mismatch invalidates the speedups.
-Whole allocations on the two implementations are compared in
-``tests/test_dense.py``.  ``repro bench analysis`` or ``pytest
-benchmarks/bench_analysis.py --benchmark-only -s`` regenerates
-``benchmarks/out/BENCH_analysis.json``.
+``tests/test_dense.py`` compares the two implementations field by
+field; only the dense one feeds the allocator.  ``repro bench
+analysis`` or ``pytest benchmarks/bench_analysis.py --benchmark-only
+-s`` regenerates ``benchmarks/out/BENCH_analysis.json``.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Each :class:`Scenario` arms one deterministic fault plan
 (:mod:`repro.resilience.faults`) and drives the subsystem that hosts
-the fault site -- allocation pipeline, analysis cache, simulator or
-allocation service -- over real suite kernels.  Every run is classified:
+the fault site -- allocation pipeline, simulator or allocation
+service -- over real suite kernels.  Every run is classified:
 
 ``clean``
     no fault fired and the work succeeded (the baseline scenarios).
@@ -360,14 +360,6 @@ SCENARIOS: Tuple[Scenario, ...] = (
         "budget surface as a typed TransientError",
         specs=(FaultSpec("pipeline.analyze", mode="transient", count=3),),
         expect="typed-error",
-        body=_body_alloc_verify,
-    ),
-    Scenario(
-        name="dense-analysis-fault",
-        description="dense kernel raises; degraded to the reference "
-        "analysis implementation",
-        specs=(FaultSpec("analysis.dense", mode="error", count=1),),
-        expect="masked",
         body=_body_alloc_verify,
     ),
     Scenario(

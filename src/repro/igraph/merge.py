@@ -33,9 +33,7 @@ the mask kernels (:func:`~repro.igraph.coloring.min_color_masks`) on
 their node masks; ranks follow ``str`` order, so every tie-break, the
 coloring (insertion order included), ``MaxPR`` and ``MaxR`` equal the
 set-based twin's, :func:`merge_region_colorings_reference`, which walks
-graph objects and is called by name: by the differential tests, and by
-:func:`~repro.core.bounds.estimate_bounds` for graphs without masks
-(reference-built analyses).
+graph objects and is called by name, by the differential tests only.
 """
 
 from __future__ import annotations

@@ -32,9 +32,6 @@ site                   where / what
 ``pipeline.analyze``   :func:`repro.core.pipeline.allocate_programs`
                        analyze phase; mode ``transient`` raises
                        :class:`~repro.errors.TransientError`
-``analysis.dense``     :class:`repro.core.cache.AnalysisCache` analysis of
-                       a cache miss under the dense kernels; mode
-                       ``error`` raises :class:`~repro.errors.InjectedFault`
 ``sim.bitflip``        both engines, at context-switch boundaries; flips
                        one RNG-chosen bit of one physical register
 ``sim.stuck``          both engines, at memory blocks; the thread's wake

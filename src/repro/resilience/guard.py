@@ -14,8 +14,6 @@ simple, always-correct configuration):
 ======================================  =================================
 rung                                    degraded mode
 ======================================  =================================
-``analysis.dense_to_reference``         re-analyze with the set-based
-                                        reference kernels
 ``service.store_to_memory``             serve the result store from the
                                         in-memory overlay only
 ``service.engine_to_reference``         run service simulation verdicts
@@ -69,12 +67,6 @@ class Rung:
 #: so an undocumented fallback cannot ship silently; a test keeps the
 #: rung table in ``docs/ROBUSTNESS.md`` in step with this tuple.
 LADDER: Tuple[Rung, ...] = (
-    Rung(
-        name="analysis.dense_to_reference",
-        trigger="the dense bitset analysis kernels raise on a program",
-        action="re-analyze that program with the set-based reference "
-        "implementation (bit-identical results by construction)",
-    ),
     Rung(
         name="service.store_to_memory",
         trigger="the service's content-addressed result store keeps "

@@ -1,6 +1,6 @@
 """Unit tests for the per-thread analysis bundle."""
 
-from repro.core.analysis import analyze_thread, analyze_thread_reference
+from repro.core.analysis import analyze_thread
 from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
 
@@ -76,21 +76,6 @@ def test_nsr_of_slot(straight):
     an = analyze_thread(straight)
     assert an.nsr_of_slot(1) == -1  # the ctx
     assert an.nsr_of_slot(2) >= 0
-
-
-def test_conflicts_by_slot_matches_linear_scan(straight):
-    # The per-slot index serves the reference branch of the profile.
-    an = analyze_thread_reference(straight)
-    for reg, pairs in an.conflicts_at.items():
-        index = an.conflicts_by_slot(reg)
-        # Regrouping preserves content and per-slot order...
-        rebuilt = [p for s in sorted(index) for p in index[s]]
-        assert sorted(rebuilt) == sorted(pairs)
-        # ...and walking any slot subset replays the filtered subsequence.
-        slots = sorted({s for s, _ in pairs})[::2]
-        want = [p for p in pairs if p[0] in set(slots)]
-        got = [p for s in slots for p in index.get(s, ())]
-        assert sorted(got) == sorted(want)
 
 
 def test_conflict_pairs_cover_conflicts_at(straight):

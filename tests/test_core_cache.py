@@ -96,26 +96,29 @@ def test_scoped_restores_global():
     assert get_cache() is before
 
 
-def test_dense_fallback_keeps_the_process_default():
-    # The dense-to-reference fallback re-analyses the one program with
-    # the set-based kernels; later analyses stay on the dense kernels.
-    from repro.harness.analysisperf import analysis_digest
-    from repro.resilience import faults, guard
-    from repro.resilience.faults import FaultSpec
+def test_one_lookup_per_program(monkeypatch):
+    # An allocation fetches each program's entry once for both its
+    # analyze and bounds phases: one fingerprint and one cache event
+    # per program, so a cold call records only misses.
+    from repro.ir.program import Program
     from repro.suite.registry import load
 
-    program = load("crc")
-    with guard.watching() as degs:
-        with faults.inject(
-            FaultSpec("analysis.dense", mode="error", count=1)
-        ) as plan:
-            got = AnalysisCache().analyze(program)
-    assert plan.fired_at("analysis.dense")
-    assert [d.rung for d in degs] == ["analysis.dense_to_reference"]
-    assert got.dense is None  # built by the reference kernels
-    after = analyze_thread(program)
-    assert after.dense is not None
-    assert analysis_digest(got) == analysis_digest(after)
+    programs = [load(n) for n in ("crc", "md5", "url")]
+    fingerprint = Program.fingerprint
+    calls = []
+
+    def counted(self):
+        calls.append(self.name)
+        return fingerprint(self)
+
+    monkeypatch.setattr(Program, "fingerprint", counted)
+    with scoped() as cache:
+        allocate_programs(programs, nreg=128)
+        assert (cache.stats.misses, cache.stats.hits) == (3, 0)
+        assert calls == ["crc", "md5", "url"]
+        allocate_programs(programs, nreg=128)
+        assert (cache.stats.misses, cache.stats.hits) == (3, 3)
+        assert calls == ["crc", "md5", "url"] * 2
 
 
 def test_pipeline_cached_matches_fresh():
@@ -155,7 +158,7 @@ def test_lru_survives_racing_threads(monkeypatch):
     from repro.core import cache as cache_mod
     from tests.test_service import hammer_threads
 
-    monkeypatch.setattr(cache_mod, "_analyze_resilient", lambda p: p.name)
+    monkeypatch.setattr(cache_mod, "analyze_thread", lambda p: p.name)
     cache = AnalysisCache(capacity=2)
     programs = [prog(MINI_KERNEL, f"k{i}") for i in range(4)]
     errors = []

@@ -118,10 +118,30 @@ def test_validate_rejects_conflicting_colors(fig3_t1):
 # The no-split check against the per-pair walk
 
 
-def pair_walk_message(ctx):
-    """The first clash of an unsplit context, in ``conflict_pairs()``
-    order, worded as the per-pair walk in ``validate`` words it."""
-    for (a, b), slots in ctx.analysis.conflict_pairs().items():
+def pairs_of_lists(lists):
+    """``conflict_pairs()`` from ``(slot, other)`` lists: each unordered
+    pair once as ``(a, b)`` with ``str(a) < str(b)``, slots ascending."""
+    grouped = {}
+    for a, pairs in lists.items():
+        for s, b in pairs:
+            if str(a) < str(b):
+                grouped.setdefault((a, b), []).append(s)
+    return {k: tuple(v) for k, v in grouped.items()}
+
+
+def walk_order(analyze, program):
+    """The conflicting pairs in the order ``validate`` words a clash
+    (``str`` order of ``(a, b)``), derived from the ``(slot, other)``
+    lists of the analysis ``analyze`` builds -- derived from the masks
+    of a dense-built one, stored by a reference-built one."""
+    pairs = pairs_of_lists(analyze(program).conflict_lists())
+    return sorted(pairs.items(), key=lambda kv: tuple(map(str, kv[0])))
+
+
+def pair_walk_message(ctx, pairs):
+    """The first clash of an unsplit context, in ``pairs`` order, worded
+    as the per-pair walk in ``validate`` words it."""
+    for (a, b), slots in pairs:
         s = slots[0]
         color = ctx.piece_of(a, s).color
         if ctx.piece_of(b, s).color == color:
@@ -129,12 +149,12 @@ def pair_walk_message(ctx):
     return None
 
 
+# ``analyze`` builds the analysis the expected message is read from; the
+# context is always built on the dense analysis the allocator takes.
 @pytest.mark.parametrize("analyze", [analyze_thread, analyze_thread_reference])
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
 def test_unsplit_clash_reports_the_pair_walk_message(name, analyze):
-    an = analyze(load(name))
-    b = estimate_bounds(an)
-    ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
+    an, b, ctx = build(load(name))
     assert not ctx._colors_clash()
     rank, masks = an.conflict_neighbors()
     regs = sorted(rank, key=rank.get)
@@ -151,7 +171,7 @@ def test_unsplit_clash_reports_the_pair_walk_message(name, analyze):
     else:
         pytest.fail(f"{name}: no range can take a neighbour's color")
     assert ctx._colors_clash()
-    expected = pair_walk_message(ctx)
+    expected = pair_walk_message(ctx, walk_order(analyze, load(name)))
     assert expected is not None
     with pytest.raises(AllocationError) as info:
         ctx.validate()
@@ -219,12 +239,10 @@ def test_split_check_agrees_with_pointwise_probes(name):
 
 @pytest.mark.parametrize("analyze", [analyze_thread, analyze_thread_reference])
 def test_split_clash_reports_the_pair_walk_message(analyze):
-    an = analyze(load("crc"))
-    b = estimate_bounds(an)
-    ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
+    an, b, ctx = build(load("crc"))
     # Carve one conflicting slot out of a range into a piece with the
     # color of the range it conflicts with there.
-    for (a, other), slots in an.conflict_pairs().items():
+    for (a, other), slots in walk_order(analyze, load("crc")):
         piece = ctx.pieces_of(a)[0]
         color = ctx.pieces_of(other)[0].color
         s = slots[-1]

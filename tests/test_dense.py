@@ -2,27 +2,33 @@
 
 The dense implementation (:mod:`repro.core.dense`) promises *bit
 identity*, not just semantic equivalence: every ``ThreadAnalysis``
-field -- iteration orders included -- the renamed program, the bounds,
-and the final allocations must match the reference set-based
-construction exactly.  These tests compare the two implementations
-field by field over every suite kernel, over randomly generated
-programs (reusing the generators of ``tests/test_properties.py``), for
-both coloring heuristics, for whole-pipeline allocations, and at the
+field -- iteration orders included -- the renamed program and the
+bounds must match the reference set-based construction exactly.  These
+tests compare the two implementations field by field over every suite
+kernel, over randomly generated programs (reusing the generators of
+``tests/test_properties.py``), for both coloring heuristics, and at the
 allocator-query level (``conflict_profile`` / ``conflicts_any`` vs the
-pointwise reference probes).  The Figure-7 merge on the interference
-masks is compared with its set-based twin over the suite, the
-``conftest`` fixtures and both generated-program strategies.  The
-reference side is always called by name: ``analyze_thread_reference``,
-``compute_liveness_reference``, ``dsatur_color_reference``,
-``simplify_color_reference`` and ``merge_region_colorings_reference``.
+pointwise probes and a walk over the conflict pairs).  The Figure-7
+merge on the interference masks is compared with its set-based twin
+over the suite, the ``conftest`` fixtures and both generated-program
+strategies.  The reference side is always called by name:
+``analyze_thread_reference``, ``compute_liveness_reference``,
+``dsatur_color_reference``, ``simplify_color_reference`` and
+``merge_region_colorings_reference``.
+
+The allocator takes only dense-built analyses, so whole allocations are
+compared at the analysis level: every analysis an allocation read must
+equal the reference analysis, and with one allocation path, equal
+analyses allocate identically.  The ``no_pair_lists`` fixture keeps the
+reference side off the production path.
 """
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -31,8 +37,6 @@ import pytest
 
 import repro
 from repro.cfg.liveness import compute_liveness, compute_liveness_reference
-from repro.core import bounds as bounds_mod
-from repro.core import cache as cache_mod
 from repro.core.analysis import (
     ThreadAnalysis,
     analyze_thread,
@@ -41,7 +45,7 @@ from repro.core.analysis import (
 )
 from repro.core.bounds import estimate_bounds
 from repro.core.cache import scoped
-from repro.core.context import initial_context
+from repro.core.context import AllocContext, initial_context
 from repro.core.dense import DenseAnalysisIndex, mask_of_slots
 from repro.core.pipeline import allocate_programs
 from repro.harness.allocperf import build_grid
@@ -49,40 +53,14 @@ from repro.harness.table2 import run_table2
 from repro.harness.table3 import SCENARIOS
 from repro.igraph import coloring
 from repro.igraph.graph import UndirectedGraph, bit_indices
+from repro.igraph.merge import merge_region_colorings_reference
 from repro.ir.operands import VirtualReg
 from repro.ir.parser import parse_program
-from repro.ir.printer import format_program
 from repro.suite.registry import BENCHMARKS, load
 from tests.conftest import FIG3_T1, FIG3_T2, MINI_KERNEL, STRAIGHT
+from tests.test_core_context import pairs_of_lists
 from tests.test_igraph_merge_edges import assert_merges_identical
 from tests.test_service import hammer_threads
-
-
-def _no_mask_merge(graphs):
-    raise AssertionError("the mask merge ran in the reference arm")
-
-
-@contextlib.contextmanager
-def reference_kernels():
-    """Run the allocation pipeline on the set-based kernels.
-
-    The analysis cache's ``analyze_thread`` and both colorings are
-    swapped for their ``*_reference`` twins around a fresh cache, so no
-    dense-built analysis from an earlier test can be reused.  Bounds
-    must then take ``merge_region_colorings_reference``: the mask merge
-    fails the test if it runs.
-    """
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cache_mod, "analyze_thread", analyze_thread_reference)
-        patch.setattr(
-            coloring, "dsatur_color", coloring.dsatur_color_reference
-        )
-        patch.setattr(
-            coloring, "simplify_color", coloring.simplify_color_reference
-        )
-        patch.setattr(bounds_mod, "merge_region_colorings", _no_mask_merge)
-        with scoped() as cache:
-            yield cache
 
 
 def test_repro_analysis_env_is_ignored():
@@ -204,12 +182,24 @@ def assert_analyses_identical(ra, da):
     assert ra.csb_slots_of == da.csb_slots_of
     assert ra.defs_at == da.defs_at
     assert ra.dying_at == da.dying_at
-    assert ra.conflict_lists() == da.conflict_lists()
-    # Derived indexes built lazily from the above.
-    assert ra.conflict_pairs() == da.conflict_pairs()
-    assert ra.conflict_neighbors() == da.conflict_neighbors()
-    for an in (ra, da):
-        assert neighbor_pairs(an) == pair_set(an)
+    lists = ra.conflict_lists()
+    assert lists == da.conflict_lists()
+    # The dense views against the same relation read off the stored
+    # pairs.
+    assert da.conflict_pairs() == pairs_of_lists(lists)
+    assert da.conflict_neighbors() == neighbors_of_lists(lists)
+    assert neighbor_pairs(da) == pair_set(da)
+
+
+def neighbors_of_lists(lists):
+    """``conflict_neighbors()`` from ``(slot, other)`` lists: ranks in
+    ``str`` order, one neighbour mask per range."""
+    rank = {r: i for i, r in enumerate(sorted(lists, key=str))}
+    masks = [0] * len(rank)
+    for a, pairs in lists.items():
+        for _, b in pairs:
+            masks[rank[a]] |= 1 << rank[b]
+    return rank, masks
 
 
 def neighbor_pairs(an):
@@ -246,7 +236,7 @@ def test_fixture_merges_identical(text):
 
 
 #: Kernels whose ``allocperf.build_grid`` points (4 threads, each kernel's
-#: own ceiling budget) are allocated whole on both implementations.
+#: own ceiling budget) are allocated whole.
 GRID_KERNELS = ("crc", "md5", "url")
 
 
@@ -258,42 +248,35 @@ GRID_KERNELS = ("crc", "md5", "url")
 )
 def test_bounds_and_allocation_identical(name, nthd):
     program = load(name)
-
-    def allocate_all(budgets):
-        return [
-            allocate_programs([program] * nthd, nreg=nreg) for nreg in budgets
-        ]
-
     with scoped() as cache:
         if nthd == 2:
             budgets = [64]
         else:
             budgets = [nreg for _, nreg, _ in build_grid([name])]
         db = cache.bounds(program)
-        douts = allocate_all(budgets)
-    assert all(a.dense is not None for o in douts for a in o.analyses)
-    with reference_kernels() as cache:
-        rb = cache.bounds(program)
-        routs = allocate_all(budgets)
-    # Every analysis in the reference arm came from the set-based
-    # kernels, so the comparison below cannot be dense against dense;
-    # without interference masks, its bounds took the reference merge.
-    assert all(
-        a.dense is None and a.graphs.masks is None
-        for o in routs
-        for a in o.analyses
+        outs = [
+            allocate_programs([program] * nthd, nreg=nreg) for nreg in budgets
+        ]
+    # Every thread at every budget read the one cached dense analysis;
+    # it equals the reference analysis, its merge the reference merge,
+    # and its bounds are the reference liveness' over that merge.
+    read = {id(a): a for o in outs for a in o.analyses}
+    assert len(read) == 1
+    (da,) = read.values()
+    assert da.dense is not None
+    ra = analyze_thread_reference(program)
+    assert_analyses_identical(ra, da)
+    merged = assert_merges_identical(da.graphs, ra.graphs)
+    min_r = ra.liveness.reg_p_max()
+    min_pr = ra.liveness.reg_p_csb_max()
+    max_pr = max(merged.max_pr, min_pr)
+    assert list(db.coloring.items()) == list(merged.coloring.items())
+    assert (db.min_pr, db.max_pr, db.min_r, db.max_r) == (
+        min_pr,
+        max_pr,
+        min_r,
+        max(merged.max_r, min_r, max_pr),
     )
-    assert list(rb.coloring.items()) == list(db.coloring.items())
-    assert (rb.min_pr, rb.max_pr, rb.min_r, rb.max_r) == (
-        db.min_pr,
-        db.max_pr,
-        db.min_r,
-        db.max_r,
-    )
-    for rout, dout in zip(routs, douts):
-        assert rout.summary() == dout.summary()
-        for rp, dp in zip(rout.programs, dout.programs):
-            assert format_program(rp) == format_program(dp)
 
 
 # ---------------------------------------------------------------------------
@@ -301,47 +284,73 @@ def test_bounds_and_allocation_identical(name, nthd):
 
 
 def test_conflict_profile_and_conflicts_any_match_reference_probes():
-    program = load("frag")
-    for analyze in (analyze_thread, analyze_thread_reference):
-        an = analyze(program)
-        b = estimate_bounds(an)
-        ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
-        assert (an.dense is not None) == (analyze is analyze_thread)
-        pieces = list(ctx.all_pieces())
-        # Split one range so both the split-other and split-self probe
-        # paths run.
-        for piece in pieces:
-            if len(piece.slots) > 1:
-                part = frozenset([min(piece.slots)])
-                ctx.split_piece(piece, part, piece.color)
-                break
-        for piece in ctx.all_pieces():
-            profile = ctx.conflict_profile(piece)
-            assert ctx.colors_in_conflict(piece) == set(profile)
-            for color in range(ctx.r):
-                pointwise = ctx.conflicts_with_color(piece, color)
-                assert ctx.conflicts_any(piece, color) == bool(pointwise)
-                entry = profile.get(color)
-                got = set() if entry is None else {p.pid for p in entry[0]}
-                assert got == {p.pid for p, _ in pointwise}
+    an = analyze_thread(load("frag"))
+    b = estimate_bounds(an)
+    ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
+    pieces = list(ctx.all_pieces())
+    # Split one range so both the split-other and split-self probe
+    # paths run.
+    for piece in pieces:
+        if len(piece.slots) > 1:
+            part = frozenset([min(piece.slots)])
+            ctx.split_piece(piece, part, piece.color)
+            break
+    for piece in ctx.all_pieces():
+        profile = ctx.conflict_profile(piece)
+        assert ctx.colors_in_conflict(piece) == set(profile)
+        for color in range(ctx.r):
+            pointwise = ctx.conflicts_with_color(piece, color)
+            assert ctx.conflicts_any(piece, color) == bool(pointwise)
+            entry = profile.get(color)
+            got = set() if entry is None else {p.pid for p in entry[0]}
+            assert got == {p.pid for p, _ in pointwise}
+
+
+def pair_walk_profile(ctx, piece, lists):
+    """``conflict_profile`` as a walk over the piece's ``(slot, other)``
+    conflict pairs: skip the slots the piece does not own, group by the
+    color of the piece occupying each slot, list pieces in
+    first-occurrence order, and OR the slot bits."""
+    by_color = {}
+    seen = set()
+    for s, other_reg in lists[piece.reg]:
+        if s not in piece.slots:
+            continue
+        other = ctx.piece_of(other_reg, s)
+        entry = by_color.setdefault(other.color, [[], 0])
+        if other.pid not in seen:
+            seen.add(other.pid)
+            entry[0].append(other)
+        entry[1] |= 1 << s
+    return by_color
 
 
 def test_profile_entries_identical_across_impls():
-    program = load("drr")
-
-    def snapshot(analyze):
-        an = analyze(program)
+    # The mask-built profile against the pair walk, on every suite
+    # kernel after random splits (of split ranges too) and recolors:
+    # the same colors in the same order, pieces in the same order, and
+    # the same slot masks.
+    rng = random.Random(31)
+    matched = 0
+    for name in sorted(BENCHMARKS):
+        an = analyze_thread(load(name))
+        lists = an.conflict_lists()  # rebuilt on every call: derive once
         b = estimate_bounds(an)
         ctx = initial_context(an, b.coloring, b.max_pr, b.max_r - b.max_pr)
-        out = {}
+        for _ in range(6):
+            splittable = [p for p in ctx.all_pieces() if len(p.slots) > 1]
+            piece = rng.choice(splittable)
+            slots = sorted(piece.slots)
+            part = frozenset(rng.sample(slots, rng.randrange(1, len(slots))))
+            ctx.split_piece(piece, part, rng.randrange(ctx.r))
+            rng.choice(ctx.all_pieces()).color = rng.randrange(ctx.r)
+        assert len(ctx.multi_piece_regs) > 1
         for piece in ctx.all_pieces():
-            prof = ctx.conflict_profile(piece)
-            out[(piece.reg, piece.pid)] = {
-                color: (tuple(e[0]), e[1]) for color, e in prof.items()
-            }
-        return out
-
-    assert snapshot(analyze_thread_reference) == snapshot(analyze_thread)
+            want = pair_walk_profile(ctx, piece, lists)
+            got = ctx.conflict_profile(piece)
+            assert list(got.items()) == list(want.items()), (name, piece)
+            matched += 1
+    assert matched > 800
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +402,40 @@ def _no_pair_lists(self):
     raise AssertionError("pair lists built for a dense analysis")
 
 
+def _forbidden(name):
+    def run(*args, **kwargs):
+        raise AssertionError(f"{name} ran on the allocation path")
+
+    return run
+
+
 @pytest.fixture
 def no_pair_lists(monkeypatch):
     """Fail any derivation of ``(slot, other)`` pair lists, or of the
     per-pair slot index, from an analysis (every analysis the tests
-    using it build is dense)."""
+    using it build is dense), and any run of an oracle the tests keep
+    in ``src/``: the reference analysis and merge, and the pointwise
+    conflict probes."""
     monkeypatch.setattr(DenseAnalysisIndex, "conflict_lists", _no_pair_lists)
     monkeypatch.setattr(ThreadAnalysis, "conflict_pairs", _no_pair_lists)
+    monkeypatch.setattr(
+        AllocContext,
+        "conflicts_with_color",
+        _forbidden("AllocContext.conflicts_with_color"),
+    )
+    monkeypatch.setattr(
+        ThreadAnalysis,
+        "interferes_at",
+        _forbidden("ThreadAnalysis.interferes_at"),
+    )
+    # Every module's binding of the two functions, under any name.
+    oracles = (analyze_thread_reference, merge_region_colorings_reference)
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is func for func in oracles):
+                monkeypatch.setattr(module, attr, _forbidden(value.__name__))
 
 
 def test_table2_split_row_builds_no_pair_lists(no_pair_lists):
@@ -524,13 +560,3 @@ def test_generated_branching_identical(text):
     assert_analyses_identical(ra, da)
     assert_colorings_identical(da.graphs)
     assert_merges_identical(da.graphs, ra.graphs)
-    with reference_kernels():
-        rb = estimate_bounds(ra)
-    db = estimate_bounds(da)
-    assert list(rb.coloring.items()) == list(db.coloring.items())
-    assert (rb.min_pr, rb.max_pr, rb.min_r, rb.max_r) == (
-        db.min_pr,
-        db.max_pr,
-        db.min_r,
-        db.max_r,
-    )

@@ -170,7 +170,6 @@ def test_degradation_seqs_stay_distinct_across_threads():
 def test_ladder_documents_every_rung():
     names = {r.name for r in guard.LADDER}
     assert names == {
-        "analysis.dense_to_reference",
         "service.store_to_memory",
         "service.engine_to_reference",
         "service.verify_to_skip",
@@ -291,25 +290,6 @@ def test_pipeline_transient_storm_surfaces_typed():
         ):
             with pytest.raises(TransientError):
                 allocate_programs([_mini()], nreg=16)
-
-
-def test_dense_analysis_fault_degrades_to_reference():
-    from repro.core.cache import scoped
-    from repro.core.pipeline import allocate_programs
-
-    with scoped():
-        with guard.watching() as degs:
-            with faults.inject(
-                FaultSpec("analysis.dense", mode="error", count=1)
-            ) as plan:
-                outcome = allocate_programs([_mini()], nreg=16)
-    assert plan.fired_at("analysis.dense")
-    assert any(d.rung == "analysis.dense_to_reference" for d in degs)
-    assert outcome.programs
-    # Degraded-path analysis must equal a clean reference analysis.
-    from repro.core.analysis import analyze_thread
-
-    assert outcome.analyses[0].slots == analyze_thread(_mini()).slots
 
 
 # ----------------------------------------------------------------------

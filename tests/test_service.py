@@ -550,6 +550,49 @@ class TestServiceCore:
         assert status == 200, envelope["error"]
         assert plans[0].fired == []
 
+    def test_a_failing_analysis_fails_only_its_own_request(
+        self, tmp_path, monkeypatch
+    ):
+        # An analysis that raises has no fallback: its request gets a
+        # typed 500, nothing is cached or stored for it, and a resubmit
+        # runs the analysis again and is served the healthy payload.
+        from repro.core import cache as cache_mod
+
+        want = json.dumps(direct_payload(), sort_keys=True)
+        real = cache_mod.analyze_thread
+        calls = []
+
+        def fails_once(program):
+            calls.append(program.name)
+            if len(calls) == 1:
+                raise RuntimeError("analysis kernel failure")
+            return real(program)
+
+        monkeypatch.setattr(cache_mod, "analyze_thread", fails_once)
+        program = parse_program(MINI_KERNEL, "k")
+        core = self.make(tmp_path)
+        with cache_mod.scoped() as cache:
+            core.start()
+            try:
+                status, envelope = core.submit(doc_for())
+                assert status == 500
+                assert envelope["error"] == {
+                    "type": "InternalError",
+                    "message": "analysis kernel failure",
+                }
+                assert program not in cache and len(cache) == 0
+                assert len(core.store) == 0
+                assert not list((tmp_path / "store").glob("*.json"))
+                status, envelope = core.submit(doc_for())
+            finally:
+                assert core.drain(5.0)
+            assert program in cache
+        assert status == 200, envelope
+        assert not envelope["cached"]
+        assert json.dumps(envelope["result"], sort_keys=True) == want
+        assert calls == ["k", "k"]
+        assert core.pipeline_runs == 1
+
     def test_replay_is_cached_and_identical(self):
         core = self.make()
         core.start()
